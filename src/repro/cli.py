@@ -7,7 +7,6 @@ Subcommands::
     repro ablation [--errors K] ...
     repro diagnose SPEC.bench IMPL.bench [--mode stuck-at|design-error]
                    [--jobs N] [--worker-budget N] [--format json]
-                   [--no-incremental-facts]
     repro bench [--smoke] [--out BENCH_sim.json] [--check FILE]
     repro lint FILE [FILE...] [--format json] [--strict] [--deep]
                [--prove] [--seq] ...
@@ -130,8 +129,6 @@ def cmd_diagnose(args) -> int:
                              prove_dedup=args.prove_dedup,
                              jobs=args.jobs,
                              worker_budget=args.worker_budget,
-                             incremental_facts=not
-                             args.no_incremental_facts,
                              seed=args.seed)
     trace_fh = None
     trace = None
@@ -551,11 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SAT-equivalence-check surviving correction "
                         "candidates and collapse proven-equivalent "
                         "ones into one candidate with aliases")
-    p.add_argument("--no-incremental-facts", action="store_true",
-                   help="recompute each tree node's dataflow facts "
-                        "from scratch instead of warming them from "
-                        "the parent node via the edit journal "
-                        "(results are bit-identical either way)")
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="json adds the search counters (nodes, "
                         "facts_reused/facts_recomputed/delta_edits, "

@@ -16,9 +16,8 @@ from .candidates import (corrections_for_line, design_error_corrections,
 from .ranking import rank_corrections, rank_value
 from .tree import DecisionTree, Node, round_visit_order
 from .pipeline import (STAGE_ORDER, TRACE_SCHEMA, DiagnosisSession,
-                       ExactStuckAtStrategy, FunctionStage,
-                       LadderStrategy, SearchStrategy, Stage,
-                       StageRecord, TraceWriter, run_stages,
+                       ExactStuckAtStrategy, LadderStrategy,
+                       SearchStrategy, StageRecord, TraceWriter,
                        select_strategy, validate_trace_events,
                        validate_trace_file)
 from .engine import IncrementalDiagnoser, diagnose
@@ -42,10 +41,9 @@ __all__ = [
     "DiagnosisState", "OverrideOutcome", "error_partition",
     "reference_outputs",
     "STAGE_ORDER", "TRACE_SCHEMA", "DiagnosisSession",
-    "ExactStuckAtStrategy", "FunctionStage", "LadderStrategy",
-    "SearchStrategy", "Stage", "StageRecord", "TraceWriter",
-    "run_stages", "select_strategy", "validate_trace_events",
-    "validate_trace_file",
+    "ExactStuckAtStrategy", "LadderStrategy", "SearchStrategy",
+    "StageRecord", "TraceWriter", "select_strategy",
+    "validate_trace_events", "validate_trace_file",
     "DiagnosisConfig", "FLOOR", "HLevel", "Mode", "default_schedule",
     "derive_seed", "marked_lines", "path_trace_counts",
     "path_trace_vector", "top_fraction",

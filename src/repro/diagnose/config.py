@@ -114,17 +114,13 @@ class DiagnosisConfig:
             :func:`repro.diagnose.screening.prescreen_suspects`.  Each
             dropped suspect is a proven per-vector no-op at every
             primary output; the screen is re-derived per tree node from
-            the (cached) dataflow facts of that node's netlist.
-        incremental_facts: warm each child node's dataflow-facts bundle
-            from its parent's via the netlist edit journal
-            (:func:`repro.analyze.incremental.warm_facts`) instead of
-            recomputing the facts from scratch at the child's first
-            pre-screen.  Every repair is exact, so results are
-            bit-identical with the flag off — only
-            ``EngineStats.facts_reused`` / ``facts_recomputed`` /
-            ``delta_edits`` and the per-node facts cost change.  Only
-            meaningful while ``static_prescreen`` is on (nothing else
-            reads the facts per node).
+            the (cached) dataflow facts of that node's netlist.  While
+            it is on, each child node that will pre-screen warms its
+            facts from its parent's via the netlist edit journal
+            (:func:`repro.diagnose.tree.warm_child_facts`); every
+            repair is exact, so the verdicts equal a scratch
+            recomputation's and only ``EngineStats.facts_reused`` /
+            ``facts_recomputed`` / ``delta_edits`` record the reuse.
         seq_prescreen: sequential variant of the pre-screen, used by
             :class:`~repro.diagnose.timeframe.TimeFrameDiagnoser`
             only: drop suspects whose driver is provably masked *from
@@ -142,8 +138,6 @@ class DiagnosisConfig:
             :func:`repro.diagnose.screening.prescreen_suspects`).
         theorem1_safety: multiply the Theorem 1 bound in exact mode
             (<1 loosens the screen; 1.0 is the proven bound).
-        h3_exact: heuristic-3 threshold in exact mode (0 disables the
-            screen so no valid tuple is ever pruned by it).
         schedule: optional explicit relaxation ladder override.
         prove_dedup: after the search, SAT-equivalence-check pairs of
             surviving correction candidates (repaired netlist vs
@@ -178,10 +172,8 @@ class DiagnosisConfig:
     worker_budget: int | None = None
     max_rounds: int = 9
     static_prescreen: bool = True
-    incremental_facts: bool = True
     seq_prescreen: bool = False
     theorem1_safety: float = 1.0
-    h3_exact: float = 0.0
     prove_dedup: bool = False
     prove_budget: int = 2000
     schedule: list = field(default_factory=list)
@@ -249,9 +241,11 @@ class DiagnosisConfig:
             if not isinstance(value, int) or value < floor:
                 raise DiagnosisError(
                     f"{name} must be an int >= {floor} (got {value!r})")
-        if self.worker_budget is not None and self.worker_budget < 0:
+        if self.worker_budget is not None and (
+                not isinstance(self.worker_budget, int)
+                or self.worker_budget < 0):
             raise DiagnosisError(
-                f"worker_budget must be >= 0 or None (got "
+                f"worker_budget must be an int >= 0 or None (got "
                 f"{self.worker_budget!r}); None means each shard "
                 "inherits max_nodes")
         if not 0.0 < self.candidate_fraction <= 1.0:
@@ -264,10 +258,6 @@ class DiagnosisConfig:
                 f"theorem1_safety must be > 0 (got "
                 f"{self.theorem1_safety!r}); 1.0 is the proven bound, "
                 "smaller values loosen the screen")
-        if not 0.0 <= self.h3_exact <= 1.0:
-            raise DiagnosisError(
-                f"h3_exact must be in [0, 1] (got {self.h3_exact!r}); "
-                "0 disables the heuristic-3 screen in exact mode")
         if self.time_budget is not None and self.time_budget <= 0:
             raise DiagnosisError(
                 f"time_budget must be > 0 seconds or None (got "

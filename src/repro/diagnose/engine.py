@@ -29,12 +29,12 @@ Since the staged-pipeline refactor this class is a thin wrapper: it
 ingests the netlists into a :class:`~repro.diagnose.pipeline.
 DiagnosisSession` and delegates the deepening loop to the mode's
 :class:`~repro.diagnose.pipeline.SearchStrategy` (exact stuck-at or
-DEDC ladder).  Both strategies dispatch their shard plan through the
-session's pluggable executor — :func:`repro.parallel.run_shards` by
-default: ``DiagnosisConfig(jobs=1)`` executes the plan in-process,
-``jobs=N`` on a process pool — with the same shard plan, per-shard
-budgets and merge order either way, so the solution list and the
-deterministic counters are identical at any pool width.  Per-stage
+DEDC ladder).  Every shard of either plan runs through
+:func:`execute_shard`: the exact strategy dispatches its plan through
+:func:`repro.parallel.run_shards` (``DiagnosisConfig(jobs=1)``
+in-process, ``jobs=N`` on a process pool) with the same shard plan,
+per-shard budgets and merge order either way, so the solution list and
+the deterministic counters are identical at any pool width.  Per-stage
 instrumentation lands in ``EngineStats.stages``.
 """
 
@@ -68,8 +68,7 @@ class IncrementalDiagnoser:
     def __init__(self, spec: Netlist, impl: Netlist,
                  patterns: PatternSet,
                  config: DiagnosisConfig | None = None,
-                 trace: TraceWriter | None = None,
-                 executor=None):
+                 trace: TraceWriter | None = None):
         config = config or DiagnosisConfig()
         config.validate(sequential=False)
         if spec.num_inputs != impl.num_inputs:
@@ -88,8 +87,7 @@ class IncrementalDiagnoser:
         self.impl = impl
         self.patterns = patterns
         self.config = config
-        self.session = DiagnosisSession(config, trace=trace,
-                                        executor=executor)
+        self.session = DiagnosisSession(config, trace=trace)
         with self.session.stage("ingest",
                                 items_in=patterns.nbits) as rec:
             self.spec_out = reference_outputs(spec, patterns)
@@ -118,7 +116,6 @@ class IncrementalDiagnoser:
             mode=self.config.mode.value, exact=self.config.exact,
             jobs=self.config.jobs, vectors=self.patterns.nbits,
             initial_failing=self.root_state.num_err)
-        self._deadline = session.deadline
         solutions: list[Solution] = []
         if not self.root_state.rectified:
             solutions = select_strategy(self.config).search(session,
@@ -153,11 +150,6 @@ class IncrementalDiagnoser:
     # ------------------------------------------------------------------
     # scheduler plumbing shared by both protocols
     # ------------------------------------------------------------------
-    def _wall_deadline(self) -> float | None:
-        """The run deadline as an epoch timestamp workers can share
-        (``time.perf_counter`` is not comparable across processes)."""
-        return self.session.wall_deadline()
-
     def _worker_payload(self) -> tuple:
         """One read-only pickle per worker: netlist + packed patterns."""
         return (self.impl, self.patterns, self.spec_out, self.config)
@@ -166,11 +158,6 @@ class IncrementalDiagnoser:
         from ..parallel import DiagnosisContext
         return DiagnosisContext(self.impl, self.patterns, self.spec_out,
                                 self.config, root_state=self.root_state)
-
-    def _merge_shard(self, stats: EngineStats, res: ShardResult,
-                     label: str, merged: dict | None) -> None:
-        """Back-compat alias for the session's shard merge."""
-        self.session.merge_shard(stats, res, label, merged)
 
 
 def _forced_words(state: DiagnosisState, corr) -> np.ndarray:
@@ -196,11 +183,7 @@ def fast_stuck_at_child(state: DiagnosisState, corr) -> DiagnosisState:
     milliseconds and microseconds per node.)
     """
     line = state.table[corr.line]
-    if corr.kind is CorrectionKind.STUCK_AT_1:
-        forced = np.full_like(state.values[line.driver],
-                              np.uint64(0xFFFFFFFFFFFFFFFF))
-    else:
-        forced = np.zeros_like(state.values[line.driver])
+    forced = _forced_words(state, corr)
     changed = state.propagate_line_override(corr.line, forced)
     child_netlist = state.netlist.copy()
     apply_correction(child_netlist, state.table, corr)
@@ -376,8 +359,7 @@ class _ExactSearch:
                     new_keys, Solution(child_applied,
                                        child_state.netlist))
             elif len(child_applied) < self.target:
-                if (self.config.static_prescreen
-                        and self.config.incremental_facts):
+                if self.config.static_prescreen:
                     # The recursion is about to pre-screen this child:
                     # warm its facts from the parent's before it does.
                     warm_child_facts(state.netlist, child_state.netlist,

@@ -7,13 +7,12 @@ sequential, SAT-based — is one walk through the same stage sequence::
            -> search -> dedup -> verify -> report
 
 A :class:`DiagnosisSession` owns what the stages share: the config, the
-run deadline, the shard executor and a single
-:class:`~repro.diagnose.report.EngineStats`.  Each stage execution is
-wrapped in :meth:`DiagnosisSession.stage`, which appends one structured
-record to ``EngineStats.stages`` (and mirrors it to the opt-in
-``--trace`` JSONL stream): stage name, optional deepening target,
-input/output item counts, a free-form ``info`` dict and the stage's
-wall time.  Wall times come from :mod:`repro.diagnose.clock` and are
+run deadline and a single :class:`~repro.diagnose.report.EngineStats`.
+Each stage execution is wrapped in :meth:`DiagnosisSession.stage`,
+which appends one structured record to ``EngineStats.stages`` (and
+mirrors it to the opt-in ``--trace`` JSONL stream): stage name,
+optional deepening target, input/output item counts, a free-form
+``info`` dict and the stage's wall time.  Wall times come from :mod:`repro.diagnose.clock` and are
 *excluded* from the determinism contract; every other record field is a
 deterministic function of ``(netlist, patterns, config)``.
 
@@ -27,10 +26,11 @@ the SAT mode's ``verify`` is interleaved with enumeration and reported
 as a summary record.  Iterative-deepening modes repeat the middle
 stages once per target cardinality (``target`` tells them apart).
 
-The search stage itself is a pluggable :class:`SearchStrategy` per
-mode, and the shard scheduler of :mod:`repro.parallel` is the default
-*executor* — any callable with :func:`repro.parallel.run_shards`'s
-signature can replace it.
+The search stage itself is one :class:`SearchStrategy` per mode.  The
+two engine strategies run every shard through
+:func:`repro.diagnose.engine.execute_shard`: the exact plan and the
+sharded ladder dispatch through :func:`repro.parallel.run_shards`, and
+the serial ladder runs one rung at a time in-process.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 
+from .. import parallel
 from . import clock
 from .report import EngineStats, mark_truncated, sort_solutions
 
@@ -77,40 +78,6 @@ class StageRecord:
         return {"stage": self.name, "target": self.target,
                 "in": self.items_in, "out": self.items_out,
                 "info": dict(self.info), "wall_s": self.wall_s}
-
-
-class Stage:
-    """Protocol for a composable pipeline stage.
-
-    ``run(session, payload)`` consumes the previous stage's payload and
-    returns the next one, recording itself via ``session.stage``.
-    Subclass it, or wrap a plain function with :class:`FunctionStage`.
-    """
-
-    name = "?"
-
-    def run(self, session: "DiagnosisSession", payload):
-        raise NotImplementedError
-
-
-class FunctionStage(Stage):
-    """A stage from a ``fn(session, payload, record) -> payload``."""
-
-    def __init__(self, name: str, fn, target: int | None = None):
-        self.name = name
-        self.fn = fn
-        self.target = target
-
-    def run(self, session: "DiagnosisSession", payload):
-        with session.stage(self.name, target=self.target) as record:
-            return self.fn(session, payload, record)
-
-
-def run_stages(session: "DiagnosisSession", stages, payload=None):
-    """Thread a payload through a stage chain, recording each stage."""
-    for stage in stages:
-        payload = stage.run(session, payload)
-    return payload
 
 
 class TraceWriter:
@@ -200,9 +167,8 @@ class DiagnosisSession:
     """Shared resources and instrumentation of one diagnosis run.
 
     Owns the config, the single :class:`EngineStats`, the monotonic run
-    deadline, the optional :class:`TraceWriter` and the shard executor
-    (default: :func:`repro.parallel.run_shards`; any callable with the
-    same signature plugs in).  Diagnosers record construction-time
+    deadline and the optional :class:`TraceWriter`.  Diagnosers record
+    construction-time
     stages (``ingest``/``bitlists``/...) on the session, call
     :meth:`freeze_setup`, and then each :meth:`begin_run` starts a fresh
     ``EngineStats`` pre-seeded with copies of those setup records — so
@@ -210,14 +176,9 @@ class DiagnosisSession:
     visible in every result.
     """
 
-    def __init__(self, config, trace: TraceWriter | None = None,
-                 executor=None):
-        if executor is None:
-            from ..parallel import run_shards
-            executor = run_shards
+    def __init__(self, config, trace: TraceWriter | None = None):
         self.config = config
         self.trace = trace
-        self.executor = executor
         self.stats = EngineStats()
         self.deadline: float | None = None
         self._setup_stages: list = []
@@ -379,7 +340,7 @@ class ExactStuckAtStrategy(SearchStrategy):
             wall_deadline = session.wall_deadline()
             tasks = [("exact", i, target, corr, wall_deadline)
                      for i, (_complemented, corr) in enumerate(ordered)]
-            results = session.executor(
+            results = parallel.run_shards(
                 tasks, config.jobs, payload=diagnoser._worker_payload(),
                 context=diagnoser._local_context(),
                 wall_deadline=wall_deadline)
@@ -451,34 +412,26 @@ class LadderStrategy(SearchStrategy):
 
     def _serial(self, session: DiagnosisSession, diagnoser, target: int,
                 attempts: list) -> list:
-        # Same per-attempt accounting (one shard record per rung
-        # executed) as the sharded merge, so jobs=1 and jobs=N report
-        # identical deterministic counters.
-        from ..parallel import ShardResult
-        from .engine import _attempt_label
-        from .tree import DecisionTree
-        config = session.config
+        # Each rung runs the pool workers' shard body in-process (one
+        # shard record per rung executed), so jobs=1 and jobs=N report
+        # identical deterministic counters.  An exception in a rung
+        # propagates; only run_shards turns a crash into a failed shard.
+        from . import engine
         stats = session.stats
+        context = diagnoser._local_context()
+        wall_deadline = session.wall_deadline()
         for index, (h, fraction) in enumerate(attempts):
             if session.expired():
                 mark_truncated(stats, "time-budget")
                 break
-            attempt_stats = EngineStats()
-            t0 = clock.now()
-            tree = DecisionTree(diagnoser.root_state, target, h, config,
-                                attempt_stats,
-                                candidate_fraction=fraction,
-                                deadline=session.deadline)
-            solutions = tree.run(stop_at_first=True,
-                                 traversal=config.traversal)
-            attempt_stats.total_time = clock.now() - t0
-            label = _attempt_label(target, h, fraction)
-            session.merge_shard(stats,
-                                ShardResult(index, solutions,
-                                            attempt_stats), label, None)
+            res = engine.execute_shard(
+                context, ("attempt", index, target, h, fraction,
+                          wall_deadline))
+            label = engine._attempt_label(target, h, fraction)
+            session.merge_shard(stats, res, label, None)
             stats.levels_tried.append(label)
-            if solutions:
-                return solutions
+            if res.solutions:
+                return res.solutions
         return []
 
     def _sharded(self, session: DiagnosisSession, diagnoser,
@@ -497,9 +450,9 @@ class LadderStrategy(SearchStrategy):
         wall_deadline = session.wall_deadline()
         tasks = [("attempt", i, target, h, fraction, wall_deadline)
                  for i, (h, fraction) in enumerate(attempts)]
-        results = session.executor(tasks, session.config.jobs,
-                                   payload=diagnoser._worker_payload(),
-                                   wall_deadline=wall_deadline)
+        results = parallel.run_shards(tasks, session.config.jobs,
+                                      payload=diagnoser._worker_payload(),
+                                      wall_deadline=wall_deadline)
         winner = None
         for res in results:
             if res.error is None and res.solutions:

@@ -46,7 +46,8 @@ from . import clock
 from .bitlists import error_partition, reference_outputs
 from .config import DiagnosisConfig
 from .pipeline import DiagnosisSession, SearchStrategy, TraceWriter
-from .report import CorrectionRecord, EngineStats, Solution
+from .report import (CorrectionRecord, EngineStats, Solution,
+                     mark_truncated)
 
 
 @dataclass
@@ -245,9 +246,16 @@ class SatDiagnoser:
         builder.at_most_k(all_selectors, target)
         builder.at_least_one(all_selectors)
         solver = builder.solver
-        while len(result.solutions) < self.max_solutions:
-            if clock.expired(deadline):
+        while True:
+            if len(result.solutions) >= self.max_solutions:
+                cause = "max-solutions"
+            elif clock.expired(deadline):
+                cause = "time-budget"
+            else:
+                cause = None
+            if cause is not None:
                 result.truncated = True
+                mark_truncated(self.session.stats, cause)
                 break
             status = solver.solve()
             if status is not True:
@@ -290,7 +298,6 @@ class SatDiagnoser:
             rec.items_out = len(result.solutions)
         result.total_time = clock.now() - t0
         stats.total_time = result.total_time
-        stats.truncated = stats.truncated or result.truncated
         session.end_run(found=result.found,
                         solutions=len(result.solutions),
                         nodes=result.sat_candidates,

@@ -36,7 +36,8 @@ from . import clock
 from .bitlists import error_partition, reference_outputs
 from .config import DiagnosisConfig
 from .pipeline import DiagnosisSession, SearchStrategy, TraceWriter
-from .report import CorrectionRecord, EngineStats, Solution
+from .report import (CorrectionRecord, EngineStats, Solution,
+                     mark_truncated)
 from .screening import theorem1_bound
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -107,8 +108,11 @@ class TimeFrameStrategy(SearchStrategy):
                         candidates.append((excited, line.index, value))
             candidates.sort(key=lambda c: -c[0])
             for _excited, line_index, value in candidates:
-                if budget[0] <= 0 or session.expired():
-                    stats.truncated = True
+                if budget[0] <= 0:
+                    mark_truncated(stats, "node-budget")
+                    return
+                if session.expired():
+                    mark_truncated(stats, "time-budget")
                     return
                 budget[0] -= 1
                 child = diag._apply_joint(state, line_index, value)

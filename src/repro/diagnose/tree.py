@@ -37,8 +37,8 @@ from .screening import (ScreenedCorrection, prescreen_suspects,
 #: exactly these and leaves the rest lazy.  Implications are excluded
 #: on purpose: child pre-screens run shallow (``deep=False``), and a
 #: warmed implication graph would silently upgrade their
-#: ``blocked_signals`` verdicts — breaking bit-identity with the
-#: ``incremental_facts=False`` path.
+#: ``blocked_signals`` verdicts — breaking bit-identity with facts
+#: recomputed from scratch.
 PRESCREEN_SECTIONS = frozenset(
     ("constants", "observable", "dominators", "cones"))
 
@@ -46,6 +46,9 @@ PRESCREEN_SECTIONS = frozenset(
 def warm_child_facts(parent, child, stats: EngineStats) -> None:
     """Warm ``child``'s dataflow-facts bundle from ``parent``'s.
 
+    Runs for every child that will pre-screen (``static_prescreen`` on
+    and spare depth below the target); every repair is exact, so the
+    child's pre-screen verdicts equal a scratch recomputation's.
     ``child`` must be a fresh ``parent.copy()`` (journal snapshot 0)
     mutated only through journalled mutators, so ``edits_since(0)`` is
     exactly the applied correction.  When the parent never materialized
@@ -162,8 +165,7 @@ class DecisionTree:
                                   site, rank_position, round_no)
         child_netlist = state.netlist.copy()
         apply_correction(child_netlist, state.table, sc.correction)
-        if (self.config.static_prescreen and self.config.incremental_facts
-                and node.depth + 1 < self.target):
+        if self.config.static_prescreen and node.depth + 1 < self.target:
             # Only children that may expand (and hence pre-screen) are
             # worth warming; frontier nodes never read their facts.
             warm_child_facts(state.netlist, child_netlist, self.stats)
@@ -277,18 +279,8 @@ class DecisionTree:
                 if not node.open:
                     self._close(node)
                 child = self.apply(node, sc, round_no, rank_position)
-                key = frozenset(r.signature for r in child.applied)
-                if key in self._seen_sets:
-                    continue
-                self._seen_sets.add(key)
-                if child.state.rectified:
-                    self.solutions.append(Solution(child.applied,
-                                                   child.state.netlist))
-                    if stop_at_first:
-                        return self.solutions
-                    continue
-                if child.depth < self.target:
-                    self.open_nodes.append(child)
+                if self._register_child(child, stop_at_first):
+                    return self.solutions
         return self.solutions
 
     def _close(self, node: Node) -> None:

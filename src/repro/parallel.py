@@ -39,12 +39,10 @@ node, so a deadline-expired worker reports its partial result within
 one node expansion; :data:`DEADLINE_GRACE` bounds how long the
 scheduler waits for that report before writing the shard off.
 
-**Pluggable executor.**  :func:`run_shards` is the *default* executor
-of the staged pipeline's search stage
-(:class:`repro.diagnose.pipeline.DiagnosisSession`); any callable with
-its signature — ``(tasks, jobs, payload=..., context=None,
-wall_deadline=None) -> list[ShardResult]`` in plan order — can replace
-it per session.  Deadlines cross the process boundary as epoch
+**Dispatch.**  The engine strategies of
+:mod:`repro.diagnose.pipeline` call :func:`run_shards` through this
+module at dispatch time; it returns one :class:`ShardResult` per task,
+in plan order.  Deadlines cross the process boundary as epoch
 timestamps (``time.time``), the one place the diagnose stack uses
 wall-clock: ``perf_counter`` values are not comparable between
 processes (see :mod:`repro.diagnose.clock`).

@@ -5,7 +5,7 @@ engines *before* they were rebuilt on ``DiagnosisSession``/stages.  The
 refactor's contract is bit-identity: solutions and every deterministic
 counter are functions of (netlist, patterns, config) only, so the
 captures must match exactly — including ``jobs=4`` vs ``jobs=1`` and
-incremental facts on vs off.
+facts warming on vs off.
 """
 
 import pytest

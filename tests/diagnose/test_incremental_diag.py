@@ -1,17 +1,19 @@
 """Incremental facts warming inside the diagnosis engine.
 
-``DiagnosisConfig(incremental_facts=True)`` warms every expandable
-child node's dataflow-facts bundle from its parent's via the edit
-journal instead of recomputing at the child's pre-screen.  Every warm
-repair is exact, so the *only* observable difference with the flag off
-must be the ``facts_reused`` / ``facts_recomputed`` / ``delta_edits``
-counters — solutions, node counts, prescreen drops and ladder rungs
-are bit-identical.
+With ``static_prescreen`` on, the engine warms every expandable child
+node's dataflow-facts bundle from its parent's via the edit journal
+instead of recomputing at the child's pre-screen.  Every warm repair is
+exact, so the *only* observable difference from a scratch run
+(:func:`~tests.diagnose.fakes.scratch_facts`) must be the
+``facts_reused`` / ``facts_recomputed`` / ``delta_edits`` counters —
+solutions, node counts, prescreen drops and ladder rungs are
+bit-identical.
 """
 
 from repro.diagnose import DiagnosisConfig, IncrementalDiagnoser, Mode
 from repro.faults import inject_stuck_at_faults
 from repro.sim import PatternSet
+from tests.diagnose.fakes import scratch_facts
 
 
 def run(spec, impl, patterns, **kwargs):
@@ -37,15 +39,15 @@ def facts_counters(result):
 
 
 # ----------------------------------------------------------------------
-# bit-identity: flag on vs flag off
+# bit-identity: warmed vs scratch facts
 # ----------------------------------------------------------------------
 def test_exact_mode_bit_identical_and_counts_reuse(rca4):
     workload = inject_stuck_at_faults(rca4, 2, seed=3)
     patterns = PatternSet.random(rca4.num_inputs, 512, seed=9)
-    on = run(workload.impl, rca4, patterns, mode=Mode.STUCK_AT,
-             exact=True, max_errors=2, incremental_facts=True)
-    off = run(workload.impl, rca4, patterns, mode=Mode.STUCK_AT,
-              exact=True, max_errors=2, incremental_facts=False)
+    kwargs = dict(mode=Mode.STUCK_AT, exact=True, max_errors=2)
+    on = run(workload.impl, rca4, patterns, **kwargs)
+    with scratch_facts():
+        off = run(workload.impl, rca4, patterns, **kwargs)
     assert on.found
     assert outcome(on) == outcome(off)
     assert on.stats.facts_reused > 0
@@ -57,13 +59,12 @@ def test_tree_mode_bit_identical_and_counts_reuse(rca4):
     workload = inject_stuck_at_faults(rca4, 2, seed=5)
     patterns = PatternSet.random(rca4.num_inputs, 512, seed=9)
     kwargs = dict(mode=Mode.STUCK_AT, exact=False, max_errors=2)
-    on = run(workload.impl, rca4, patterns, incremental_facts=True,
-             **kwargs)
-    off = run(workload.impl, rca4, patterns, incremental_facts=False,
-              **kwargs)
+    on = run(workload.impl, rca4, patterns, **kwargs)
+    with scratch_facts():
+        off = run(workload.impl, rca4, patterns, **kwargs)
     assert outcome(on) == outcome(off)
     # warms fire only for children that may expand; a first-round hit
-    # can legitimately leave the counter at zero, but the flag-off run
+    # can legitimately leave the counter at zero, but the scratch run
     # must never move it
     assert facts_counters(off) == (0, 0, 0)
     if on.stats.nodes > len(on.solutions):
@@ -78,10 +79,9 @@ def test_dedc_mode_bit_identical(alu4):
                                                 seed=7)
     kwargs = dict(mode=Mode.DESIGN_ERROR, exact=False, max_errors=2,
                   time_budget=120.0)
-    on = run(alu4, workload.impl, patterns, incremental_facts=True,
-             **kwargs)
-    off = run(alu4, workload.impl, patterns, incremental_facts=False,
-              **kwargs)
+    on = run(alu4, workload.impl, patterns, **kwargs)
+    with scratch_facts():
+        off = run(alu4, workload.impl, patterns, **kwargs)
     assert outcome(on) == outcome(off)
     assert facts_counters(off) == (0, 0, 0)
 
@@ -93,8 +93,7 @@ def test_counters_stay_zero_without_prescreen(rca4):
     workload = inject_stuck_at_faults(rca4, 2, seed=3)
     patterns = PatternSet.random(rca4.num_inputs, 512, seed=9)
     result = run(workload.impl, rca4, patterns, mode=Mode.STUCK_AT,
-                 exact=True, max_errors=2, static_prescreen=False,
-                 incremental_facts=True)
+                 exact=True, max_errors=2, static_prescreen=False)
     assert facts_counters(result) == (0, 0, 0)
 
 

@@ -174,8 +174,8 @@ def test_merge_records_failed_shard_as_truncated(c17):
     engine = IncrementalDiagnoser(c17, c17, patterns)
     from repro.diagnose.report import EngineStats
     stats = EngineStats()
-    engine._merge_shard(stats, ShardResult(0, error="worker died"),
-                        "N=1 sa0@n1", None)
+    engine.session.merge_shard(stats, ShardResult(0, error="worker died"),
+                               "N=1 sa0@n1", None)
     assert stats.truncated
     assert stats.truncation_causes == ["N=1 sa0@n1: worker died"]
     assert stats.shards[0]["error"] == "worker died"

@@ -8,9 +8,9 @@ import pytest
 from repro.circuit import bench_io, generators
 from repro.cli import main
 from repro.diagnose import (STAGE_ORDER, TRACE_SCHEMA, DiagnosisConfig,
-                            DiagnosisSession, FunctionStage, HLevel,
+                            DiagnosisSession, HLevel,
                             IncrementalDiagnoser, Mode, StageRecord,
-                            TraceWriter, run_stages, select_strategy,
+                            TraceWriter, select_strategy,
                             validate_trace_events, validate_trace_file)
 from repro.diagnose import clock
 from repro.diagnose.pipeline import ExactStuckAtStrategy, LadderStrategy
@@ -59,7 +59,7 @@ def test_validate_coerces_mode_string():
     ({"candidate_fraction": 0.0}, "candidate_fraction"),
     ({"candidate_fraction": 1.5}, "candidate_fraction"),
     ({"theorem1_safety": 0.0}, "theorem1_safety"),
-    ({"h3_exact": 1.5}, "h3_exact"),
+    ({"worker_budget": 2.5}, "worker_budget"),
     ({"time_budget": 0}, "time_budget"),
     ({"schedule": ["not-a-level"]}, "HLevel"),
     ({"schedule": [HLevel(0.3, 0.7, 1.5)]}, "[0, 1]"),
@@ -91,7 +91,7 @@ def test_engine_rejects_invalid_config(c17):
 
 
 # ----------------------------------------------------------------------
-# stage records & composition
+# stage records
 # ----------------------------------------------------------------------
 def test_stage_record_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown stage"):
@@ -105,23 +105,6 @@ def test_stage_record_to_dict_shape():
     assert record.to_dict() == {"stage": "ingest", "target": 2,
                                 "in": 7, "out": 3, "info": {"k": 1},
                                 "wall_s": 0.0}
-
-
-def test_function_stage_composition():
-    session = DiagnosisSession(DiagnosisConfig())
-    session.begin_run(mode="unit")
-
-    def double(session, payload, record):
-        record.items_in = payload
-        record.items_out = payload * 2
-        return payload * 2
-
-    out = run_stages(session, [FunctionStage("ingest", double),
-                               FunctionStage("search", double)],
-                     payload=3)
-    assert out == 12
-    assert [(r["stage"], r["in"], r["out"]) for r in
-            session.stats.stages] == [("ingest", 3, 6), ("search", 6, 12)]
 
 
 def test_stage_recorded_even_when_body_raises():

@@ -38,6 +38,17 @@ def test_sat_agrees_with_engine(c17, seed):
         == {s.key for s in engine.solutions}
 
 
+def test_sat_max_solutions_truncation_records_cause(c17):
+    # the golden c17 double fault has three minimal tuples
+    workload = inject_stuck_at_faults(c17, 2, seed=0)
+    patterns = PatternSet.random(5, 256, seed=5)
+    result = SatDiagnoser(workload.impl, c17, patterns, max_faults=2,
+                          max_solutions=1).run()
+    assert len(result.solutions) == 1
+    assert result.truncated and result.stats.truncated
+    assert result.stats.truncation_causes == ["max-solutions"]
+
+
 def test_sat_on_medium_circuit():
     circuit = generators.ripple_carry_adder(4)
     workload = inject_stuck_at_faults(circuit, 1, seed=7)

@@ -53,6 +53,17 @@ def test_double_fault_sequential_diagnosis():
     assert result.found  # some explaining tuple within the window
 
 
+def test_node_budget_truncation_records_cause(s27):
+    frames = 8
+    sequences = random_sequences(s27, 96, frames, seed=1)
+    workload = observable_seq_workload(s27, 1, frames, sequences)
+    result = TimeFrameDiagnoser(s27, workload.impl, sequences,
+                                frames=frames, max_faults=1,
+                                max_nodes=1).run()
+    assert result.stats.truncated
+    assert result.stats.truncation_causes == ["node-budget"]
+
+
 def test_combinational_input_rejected(c17):
     with pytest.raises(DiagnosisError, match="sequential"):
         TimeFrameDiagnoser(c17, c17, [], frames=2)

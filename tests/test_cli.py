@@ -383,11 +383,12 @@ def test_diagnose_json_surfaces_facts_counters(tmp_path, capsys):
     assert stats["delta_edits"] >= stats["facts_reused"]
     assert stats["facts_recomputed"] >= 0
     assert payload["solutions"][0]["corrections"]
-    # the opt-out recomputes per node but returns identical solutions
-    rc = main(["diagnose", str(spec_path), str(impl_path),
-               "--mode", "stuck-at", "--vectors", "512",
-               "--max-errors", "2", "--format", "json",
-               "--no-incremental-facts"])
+    # scratch facts recompute per node but return identical solutions
+    from tests.diagnose.fakes import scratch_facts
+    with scratch_facts():
+        rc = main(["diagnose", str(spec_path), str(impl_path),
+                   "--mode", "stuck-at", "--vectors", "512",
+                   "--max-errors", "2", "--format", "json"])
     scratch = _json.loads(capsys.readouterr().out)
     assert rc == 0
     assert scratch["solutions"] == payload["solutions"]
