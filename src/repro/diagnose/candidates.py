@@ -23,16 +23,9 @@ import numpy as np
 from ..circuit.gatetypes import (GateType, REPLACEMENT_CLASSES,
                                  SOURCE_TYPES, eval_words)
 from ..faults.models import Correction, CorrectionKind
-from ..sim.packing import popcount
+from ..sim.packing import row_popcounts
 from .bitlists import DiagnosisState
 from .config import DiagnosisConfig, Mode
-
-if hasattr(np, "bitwise_count"):
-    def _row_popcounts(matrix: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(matrix).sum(axis=1, dtype=np.int64)
-else:  # pragma: no cover - depends on numpy version
-    def _row_popcounts(matrix: np.ndarray) -> np.ndarray:
-        return np.array([popcount(row) for row in matrix], dtype=np.int64)
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -132,8 +125,8 @@ def scored_wire_sources(state: DiagnosisState, driver: int,
     old = state.values[driver]
     new = _combine(base, state.values, core, invert)
     delta = new ^ old
-    err_flips = _row_popcounts(delta & state.err_mask)
-    corr_flips = _row_popcounts(delta & state.corr_mask)
+    err_flips = row_popcounts(delta & state.err_mask)
+    corr_flips = row_popcounts(delta & state.corr_mask)
     score = err_flips - corr_flips
     legal = _legal_sources_mask(state, driver) & (err_flips > 0)
     if not legal.any():
@@ -230,8 +223,8 @@ def _scored_insert_sources(state: DiagnosisState, driver: int,
     base = state.values[driver]
     new = _combine(base, state.values, core, invert)
     delta = new ^ base
-    err_flips = _row_popcounts(delta & state.err_mask)
-    corr_flips = _row_popcounts(delta & state.corr_mask)
+    err_flips = row_popcounts(delta & state.err_mask)
+    corr_flips = row_popcounts(delta & state.corr_mask)
     score = err_flips - corr_flips
     legal = _legal_sources_mask(state, driver) & (err_flips > 0)
     if not legal.any():

@@ -47,12 +47,12 @@ import numpy as np
 from ..analyze.invariants import InvariantChecker
 from ..circuit.netlist import Netlist
 from ..errors import DiagnosisError
-from ..faults.models import CorrectionKind, apply_correction
+from ..faults.models import Correction, CorrectionKind, apply_correction
 from ..parallel import ShardResult
-from ..sim.packing import PatternSet
+from ..sim.packing import PatternSet, row_popcounts
 from . import clock
 from .bitlists import DiagnosisState, reference_outputs
-from .candidates import is_correctable_line, stuck_at_corrections
+from .candidates import is_correctable_line
 from .config import DiagnosisConfig, Mode
 from .pathtrace import derive_seed, marked_lines, path_trace_counts
 from .pipeline import DiagnosisSession, TraceWriter, select_strategy
@@ -245,14 +245,21 @@ def screen_and_rank(state: DiagnosisState, lines: list,
     bound = theorem1_bound(state.num_err, remaining)
     bound = max(1, int(math.ceil(bound * config.theorem1_safety)))
     t1 = clock.now()
+    # SA0 on a line complements the Verr bits where its driver is 1,
+    # SA1 the rest: one popcount of the whole value matrix gives every
+    # count, and only corrections that reach the bound are built.
+    ones = row_popcounts(state.values & state.err_mask).tolist()
     screened = []
     for line in lines:
         if not is_correctable_line(state, line):
             continue
-        for corr in stuck_at_corrections(line):
-            complemented = screen_verr(state, corr, bound)
-            if complemented is not None:
-                screened.append((complemented, corr))
+        driver_ones = ones[state.table[line].driver]
+        for kind, complemented in (
+                (CorrectionKind.STUCK_AT_0, driver_ones),
+                (CorrectionKind.STUCK_AT_1, state.num_err - driver_ones)):
+            if complemented >= bound:
+                corr = Correction(line, kind)
+                screened.append((screen_verr(state, corr, bound), corr))
     screened.sort(key=lambda pair: -pair[0])
     # Outcome-guided ordering: for the most promising candidates
     # (by Verr bits complemented) measure the actual failing-
@@ -345,12 +352,21 @@ class _ExactSearch:
             self._check_budget()  # before marking: truncation must
             self.visited.add(new_keys)  # never hide unexplored work
             self.budget -= 1
+            self.stats.nodes += 1
             t0 = clock.now()
-            child_state = fast_stuck_at_child(state, corr)
+            # A leaf is only worth a netlist if it rectifies V, and
+            # propagating the forced line through the parent says so.
+            leaf_fails = (len(applied) + 1 == self.target
+                          and not state.outcome_of_override(
+                              corr.line, _forced_words(state, corr)
+                          ).fixes_all)
+            child_state = (None if leaf_fails
+                           else fast_stuck_at_child(state, corr))
             self.stats.apply_time += clock.now() - t0
+            if child_state is None:
+                continue
             if self.invariants:
                 self.invariants.check_state(child_state)
-            self.stats.nodes += 1
             record = CorrectionRecord(signature, corr.kind.value,
                                       state.table.describe(corr.line))
             child_applied = applied + (record,)

@@ -19,6 +19,9 @@ Marking rule at a gate, for the vector's simulated (faulty) values:
 
 Both the stem line of each traced signal and the branch line of each
 traversed fanout branch are marked.
+
+All sampled vectors are traced together, one bit per vector, in a
+single reverse-topological sweep (:func:`_trace_counts`).
 """
 
 from __future__ import annotations
@@ -32,45 +35,83 @@ from ..circuit.gatetypes import GateType, controlling_value
 from ..sim.packing import WORD_BITS, bit_indices
 from .bitlists import DiagnosisState
 
+_UNTRACED = frozenset((GateType.INPUT, GateType.CONST0, GateType.CONST1,
+                       GateType.DFF))
+
+
+def _popcount(mask: int) -> int:
+    return bin(mask).count("1")
+
+
+def _sample_masks(rows: np.ndarray, vectors: list) -> list:
+    """One Python int per row: bit k is the row's value under
+    ``vectors[k]``.  Ints, not words, because a sample may hold any
+    number of vectors."""
+    words, bits = np.divmod(np.asarray(vectors, dtype=np.int64),
+                            WORD_BITS)
+    column = (rows[:, words] >> bits.astype(np.uint64)) & np.uint64(1)
+    packed = np.packbits(column.astype(np.uint8), axis=1,
+                         bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little")
+            for i in range(len(rows))]
+
+
+def _trace_counts(state: DiagnosisState, vectors: list) -> np.ndarray:
+    """Mark counts per line over ``vectors``, all traced in one sweep.
+
+    Bit k of every mask stands for ``vectors[k]``.  ``traced[s]`` holds
+    the vectors on which signal ``s`` is reached from an erroneous
+    output; one pass in reverse topological order finalises each gate's
+    mask before it is pushed to the gate's fanins.  At a gate with a
+    controlling value, pin ``p`` is traced on the vectors where it
+    carries that value, or where no pin does.  Reachability is a
+    monotone OR, so every count equals the per-vector marking.
+    """
+    netlist = state.netlist
+    table = state.table
+    gates = netlist.gates
+    values = _sample_masks(state.values, vectors)
+    full = (1 << len(vectors)) - 1
+    traced = [0] * len(gates)
+    for po, mask in zip(netlist.outputs,
+                        _sample_masks(state.diff, vectors)):
+        traced[po] |= mask
+    counts = [0] * len(table)
+    for signal in reversed(netlist.topo_order()):
+        mask = traced[signal]
+        if not mask:
+            continue
+        counts[table.stem(signal).index] += _popcount(mask)
+        gate = gates[signal]
+        if gate.gtype in _UNTRACED:
+            continue
+        ctrl = controlling_value(gate.gtype)
+        if ctrl is None:
+            pin_masks = [mask] * len(gate.fanin)
+        else:
+            hits = [values[src] if ctrl else full ^ values[src]
+                    for src in gate.fanin]
+            any_ctrl = 0
+            for hit in hits:
+                any_ctrl |= hit
+            free = mask & ~any_ctrl
+            pin_masks = [(mask & hit) | free for hit in hits]
+        for pin, pin_mask in enumerate(pin_masks):
+            if not pin_mask:
+                continue
+            traced[gate.fanin[pin]] |= pin_mask
+            branch = table.branch(signal, pin)
+            if branch is not None:
+                counts[branch.index] += _popcount(pin_mask)
+    return np.array(counts, dtype=np.int64)
+
 
 def path_trace_vector(state: DiagnosisState, vector: int) -> set:
     """Line indices marked by path-tracing one failing vector."""
-    netlist = state.netlist
-    table = state.table
-    word, bit = divmod(vector, WORD_BITS)
-    shift = np.uint64(bit)
-    one = np.uint64(1)
-    column = ((state.values[:, word] >> shift) & one).astype(np.uint8)
-    marked: set = set()
-    visited: set = set()
-    stack: list = []
-    for pos, po in enumerate(netlist.outputs):
-        if (int(state.diff[pos, word]) >> bit) & 1:
-            stack.append(po)
-    gates = netlist.gates
-    while stack:
-        signal = stack.pop()
-        if signal in visited:
-            continue
-        visited.add(signal)
-        marked.add(table.stem(signal).index)
-        gate = gates[signal]
-        if gate.gtype in (GateType.INPUT, GateType.CONST0,
-                          GateType.CONST1, GateType.DFF):
-            continue
-        ctrl = controlling_value(gate.gtype)
-        pins = range(len(gate.fanin))
-        if ctrl is not None:
-            controlling_pins = [p for p in pins
-                                if column[gate.fanin[p]] == ctrl]
-            if controlling_pins:
-                pins = controlling_pins
-        for pin in pins:
-            branch = table.branch(signal, pin)
-            if branch is not None:
-                marked.add(branch.index)
-            stack.append(gate.fanin[pin])
-    return marked
+    return {int(line)
+            for line in np.flatnonzero(_trace_counts(state, [vector]))}
 
 
 def derive_seed(base_seed: int, signatures) -> int:
@@ -109,17 +150,13 @@ def path_trace_counts(state: DiagnosisState, max_vectors: int = 24,
     (§3.1: "we allow lines that have a high path-trace count to qualify").
     Returns an int array indexed by line-table position.
     """
-    counts = np.zeros(len(state.table), dtype=np.int64)
     failing = bit_indices(state.err_mask, state.patterns.nbits)
     if not failing:
-        return counts
+        return np.zeros(len(state.table), dtype=np.int64)
     if len(failing) > max_vectors:
         rng = random.Random(seed)
         failing = rng.sample(failing, max_vectors)
-    for vector in failing:
-        for line in path_trace_vector(state, vector):
-            counts[line] += 1
-    return counts
+    return _trace_counts(state, failing)
 
 
 def marked_lines(counts: np.ndarray) -> list:

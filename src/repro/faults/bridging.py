@@ -30,7 +30,7 @@ from ..circuit.netlist import Netlist
 from ..errors import InjectionError
 from ..sim.compare import masked
 from ..sim.logicsim import output_rows, simulate
-from ..sim.packing import PatternSet, popcount
+from ..sim.packing import PatternSet, popcount, row_popcounts
 from .inject import InjectionRecord, Workload
 
 
@@ -105,15 +105,6 @@ def inject_bridging_fault(netlist: Netlist, seed: int = 0,
 # ----------------------------------------------------------------------
 # the correction stage: scoring candidate bridges bit-parallel
 # ----------------------------------------------------------------------
-if hasattr(np, "bitwise_count"):
-    def _row_popcounts(matrix: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(matrix).sum(axis=1, dtype=np.int64)
-else:  # pragma: no cover
-    def _row_popcounts(matrix: np.ndarray) -> np.ndarray:
-        return np.array([popcount(row) for row in matrix],
-                        dtype=np.int64)
-
-
 def scored_bridge_partners(netlist: Netlist, values: np.ndarray,
                            anchor: int, err_mask: np.ndarray,
                            corr_mask: np.ndarray, kind: BridgeKind,
@@ -130,8 +121,8 @@ def scored_bridge_partners(netlist: Netlist, values: np.ndarray,
     else:
         new = values | anchor_vals
     delta = new ^ anchor_vals
-    err_flips = _row_popcounts(delta & err_mask)
-    corr_flips = _row_popcounts(delta & corr_mask)
+    err_flips = row_popcounts(delta & err_mask)
+    corr_flips = row_popcounts(delta & corr_mask)
     # Rank by failing-bit coverage first and excitation on passing
     # vectors second: unlike wire corrections, a genuine bridge is
     # routinely excited on passing vectors without corrupting them, so

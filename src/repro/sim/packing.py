@@ -50,6 +50,13 @@ def popcount(words: np.ndarray) -> int:
     return total
 
 
+def row_popcounts(matrix: np.ndarray) -> np.ndarray:
+    """Set bits per row of a 2-D word matrix, as an int64 vector."""
+    if _HAS_BITWISE_COUNT:
+        return np.bitwise_count(matrix).sum(axis=1, dtype=np.int64)
+    return np.array([popcount(row) for row in matrix], dtype=np.int64)
+
+
 def _words_to_le_bytes(words: np.ndarray) -> np.ndarray:
     """Reinterpret packed words as their little-endian byte stream."""
     words = np.ascontiguousarray(words, dtype=np.uint64)

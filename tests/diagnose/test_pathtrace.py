@@ -16,7 +16,9 @@ from repro.diagnose import (DiagnosisState, path_trace_counts,
                             top_fraction)
 from repro.faults import inject_stuck_at_faults
 from repro.sim import PatternSet, output_rows, simulate
-from repro.sim.packing import bit_indices
+from repro.sim.packing import bit_indices, num_words
+from tests.diagnose.pathtrace_oracle import (dfs_path_trace_counts,
+                                             dfs_path_trace_vector)
 
 
 def diagnosis_state_for(spec, count, seed, nbits=256):
@@ -102,3 +104,74 @@ def test_top_fraction_tie_inclusive():
 def test_marked_lines_sorted_by_count():
     counts = np.array([1, 7, 0, 3])
     assert marked_lines(counts) == [1, 3, 0]
+
+
+# ----------------------------------------------------------------------
+# the one-sweep kernel against the per-vector DFS oracle
+# ----------------------------------------------------------------------
+def random_spec_state(netlist, nbits, seed):
+    """State against random reference responses: many failing vectors,
+    each failing on an arbitrary subset of outputs."""
+    patterns = PatternSet.random(netlist.num_inputs, nbits, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    spec_out = rng.integers(0, 2**63, size=(netlist.num_outputs,
+                                            num_words(nbits)),
+                            dtype=np.uint64)
+    spec_out |= rng.integers(0, 2, size=spec_out.shape,
+                             dtype=np.uint64) << np.uint64(63)
+    return DiagnosisState(netlist, patterns, spec_out)
+
+
+def shared_source_netlist():
+    """Every traced gate type, a multi-fanout stem, a gate reading one
+    source on two pins, and a PO that also feeds other gates."""
+    nl = Netlist("shared")
+    a, b, c = (nl.add_input(n) for n in "abc")
+    n1 = nl.add_gate("n1", GateType.NAND, [a, a])   # one source, two pins
+    x1 = nl.add_gate("x1", GateType.XOR, [n1, b])
+    x2 = nl.add_gate("x2", GateType.XNOR, [b, c])
+    inv = nl.add_gate("inv", GateType.NOT, [x1])
+    buf = nl.add_gate("buf", GateType.BUF, [x2])
+    o1 = nl.add_gate("o1", GateType.OR, [inv, buf, n1])
+    o2 = nl.add_gate("o2", GateType.NOR, [x1, c, c])
+    o3 = nl.add_gate("o3", GateType.AND, [o1, x2, b])
+    nl.set_outputs([o1, o2, o3])
+    return nl
+
+
+ORACLE_NBITS = (1, 63, 64, 65, 1000)
+ORACLE_SAMPLES = (1, 24, 64, 65, 100)
+
+
+@pytest.mark.parametrize("nbits", ORACLE_NBITS)
+@pytest.mark.parametrize("max_vectors", ORACLE_SAMPLES)
+def test_counts_match_the_dfs_oracle(nbits, max_vectors, c17):
+    nets = [c17, shared_source_netlist(),
+            generators.random_dag(6, 40, 4, seed=nbits + max_vectors)]
+    for i, netlist in enumerate(nets):
+        state = random_spec_state(netlist, nbits, seed=nbits * 7 + i)
+        for seed in (0, 3):
+            got = path_trace_counts(state, max_vectors, seed)
+            want = dfs_path_trace_counts(state, max_vectors, seed)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (netlist.name, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 5_000), count=st.integers(1, 3),
+       nbits=st.sampled_from(ORACLE_NBITS),
+       max_vectors=st.sampled_from(ORACLE_SAMPLES))
+def test_counts_match_the_oracle_on_random_dags(seed, count, nbits,
+                                                max_vectors):
+    spec = generators.random_dag(6, 50, 4, seed=seed % 11)
+    state, _ = diagnosis_state_for(spec, count, seed, nbits=nbits)
+    assert np.array_equal(path_trace_counts(state, max_vectors, seed),
+                          dfs_path_trace_counts(state, max_vectors, seed))
+
+
+def test_vector_marking_matches_the_oracle(c17):
+    for netlist in (c17, shared_source_netlist()):
+        state = random_spec_state(netlist, 65, seed=5)
+        for vector in range(65):
+            assert path_trace_vector(state, vector) \
+                == dfs_path_trace_vector(state, vector)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.packing import (PatternSet, WORD_BITS, bit_indices,
-                               num_words, pack_bits, popcount, tail_mask,
-                               unpack_bits)
+                               num_words, pack_bits, popcount,
+                               row_popcounts, tail_mask, unpack_bits)
 
 
 def test_num_words():
@@ -37,6 +37,16 @@ def test_popcount_known_values():
 def test_popcount_matches_python(words):
     arr = np.array(words, dtype=np.uint64)
     assert popcount(arr) == sum(bin(w).count("1") for w in words)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2**64 - 1), min_size=3,
+                         max_size=3), min_size=1, max_size=6))
+def test_row_popcounts_match_popcount_per_row(rows):
+    matrix = np.array(rows, dtype=np.uint64)
+    counts = row_popcounts(matrix)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [popcount(row) for row in matrix]
 
 
 @settings(max_examples=50, deadline=None)
