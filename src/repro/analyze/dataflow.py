@@ -866,19 +866,6 @@ class NetlistFacts:
                     conditions.append(OdcCondition(d, src, ctrl))
         return tuple(conditions)
 
-    def statically_blocked(self, signal: int, deep: bool = False) -> bool:
-        """True when no change on ``signal`` can ever reach an output.
-
-        Soundness: a fault/correction on the line only perturbs values
-        inside its fanout cone; a side input outside the cone keeps its
-        fault-free value, and a proven-constant controlling side input
-        of a dominator therefore kills the difference on *every* path,
-        for *every* vector.  ``deep`` additionally uses
-        implication-derived constants (forces the implication
-        analysis).
-        """
-        return signal in self.blocked_signals(deep)
-
     def blocked_signals(self, deep: bool = False) -> frozenset:
         """All signals whose ODC conditions are statically always-on."""
         key = bool(deep) or self._implications is not None

@@ -6,7 +6,9 @@ passing vectors (``Vcorr``).  Every heuristic count and the Theorem 1
 screen silently assume that partition is *disjoint* and *complete* and
 that the screen's denominator N (errors still to find) is positive.
 An engine bug violating any of these does not crash — it produces wrong
-diagnoses.  :class:`InvariantChecker` turns such bugs into immediate
+diagnoses.  The same holds for a child state's value matrix, which is
+derived from its parent's by cone propagation rather than simulated.
+:class:`InvariantChecker` turns such bugs into immediate
 :class:`InvariantViolation` errors.
 
 The checker is opt-in (``DiagnosisConfig(check_invariants=True)``); when
@@ -18,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvariantViolation
+from ..sim.logicsim import simulate
 from ..sim.packing import popcount, tail_mask
 
 
@@ -34,12 +37,25 @@ class InvariantChecker:
 
     # ------------------------------------------------------------------
     def check_state(self, state) -> None:
-        """The ``Verr``/``Vcorr`` partition is disjoint and complete.
+        """The value matrix equals a full simulation of the state's
+        netlist, and the ``Verr``/``Vcorr`` partition is disjoint and
+        complete.
 
         ``state`` is a :class:`~repro.diagnose.bitlists.DiagnosisState`;
         typed loosely to keep this module import-light.
         """
         self.checks_run += 1
+        simulated = simulate(state.netlist, state.patterns)
+        if state.values.shape != simulated.shape:
+            raise InvariantViolation(
+                f"value matrix has shape {state.values.shape}, a full "
+                f"simulation of the netlist {simulated.shape}")
+        wrong = np.flatnonzero((state.values != simulated).any(axis=1))
+        if len(wrong):
+            raise InvariantViolation(
+                f"value matrix disagrees with a full simulation on "
+                f"{len(wrong)} row(s), first "
+                f"{state.netlist.gates[wrong[0]].name!r}")
         nbits = state.patterns.nbits
         overlap = popcount(state.err_mask & state.corr_mask)
         if overlap:

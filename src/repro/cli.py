@@ -542,8 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-shard node budget (default: max_nodes "
                         "per shard)")
     p.add_argument("--check-invariants", action="store_true",
-                   help="assert Verr/Vcorr + Theorem 1 invariants at "
-                        "every tree node (debug mode)")
+                   help="assert simulated values, Verr/Vcorr and "
+                        "Theorem 1 invariants at every tree node (debug "
+                        "mode)")
     p.add_argument("--prove-dedup", action="store_true",
                    help="SAT-equivalence-check surviving correction "
                         "candidates and collapse proven-equivalent "

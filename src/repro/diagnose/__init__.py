@@ -12,7 +12,7 @@ from .potential import (LinePotential, correcting_potential,
 from .screening import (ScreenedCorrection, evaluate_correction,
                         screen_corrections, screen_verr, theorem1_bound)
 from .candidates import (corrections_for_line, design_error_corrections,
-                         stuck_at_corrections, wire_sources)
+                         stuck_at_corrections)
 from .ranking import rank_corrections, rank_value
 from .tree import DecisionTree, Node, round_visit_order
 from .pipeline import (STAGE_ORDER, TRACE_SCHEMA, DiagnosisSession,
@@ -52,7 +52,7 @@ __all__ = [
     "ScreenedCorrection", "evaluate_correction", "screen_corrections",
     "screen_verr", "theorem1_bound",
     "corrections_for_line", "design_error_corrections",
-    "stuck_at_corrections", "wire_sources", "enumerate_corrections",
+    "stuck_at_corrections", "enumerate_corrections",
     "rank_corrections", "rank_value",
     "DecisionTree", "Node", "round_visit_order",
     "IncrementalDiagnoser", "diagnose", "dedup_solutions",

@@ -11,8 +11,10 @@ the whole implementation plus two packed vector masks (``err_mask``,
 ``corr_mask``) partitioning V.  ``Verr_l`` is then ``values[l] &
 err_mask`` conceptually; every count the heuristics need reduces to an
 AND + popcount.  The bit-lists are "properly updated during diagnosis and
-correction" simply by rebuilding the state of each decision-tree node
-from its (corrected) netlist.
+correction" incrementally: only a root state is simulated in full, and
+every decision-tree child derives its value matrix from its parent's by
+propagating the corrected line through its fanout cone
+(:meth:`DiagnosisState.child`, shared by both searches).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from ..circuit.lines import LineTable
 from ..circuit.netlist import Netlist
+from ..faults.models import Correction
 from ..sim.compare import masked
 from ..sim.logicsim import output_rows, propagate, simulate
 from ..sim.packing import PatternSet, popcount, tail_mask
@@ -57,8 +60,8 @@ class DiagnosisState:
     """Simulation snapshot of one implementation against the spec.
 
     This object is immutable in spirit: the decision tree creates a fresh
-    state per node (after applying that node's correction to a netlist
-    copy).
+    state per node with :meth:`child` (after applying that node's
+    correction to a netlist copy).
 
     Attributes:
         netlist: the (possibly partially corrected) implementation.
@@ -114,19 +117,38 @@ class DiagnosisState:
         """Packed logic values carried by a line (== its stem signal)."""
         return self.values[self.table[line_index].driver]
 
-    def verr_size(self) -> int:
-        """|Verr|: entries in every line's erroneous bit-list."""
-        return self.num_err
-
-    def cone_of(self, signal: int) -> set:
-        """Fanout cone of a signal (gate index set).
-
-        Backed by the :meth:`Netlist.sorted_cone` cache, so the cone
-        survives across every consumer working on this netlist.
-        """
-        return self.netlist.fanout_cone(signal)
-
     # ------------------------------------------------------------------
+    def child(self, child_netlist: Netlist, corr: Correction,
+              new_words: np.ndarray) -> DiagnosisState:
+        """State of ``child_netlist``, this netlist with ``corr`` applied.
+
+        ``new_words`` is the corrected line's value
+        (:func:`~repro.faults.models.corrected_line_words`).  A
+        correction changes values only inside the line's fanout cone, so
+        the child's matrix is this one with the propagated rows replaced
+        and one row per gate the correction appended (a constant,
+        inverter or inserted gate carrying the line).  A stem driver
+        whose own definition is unchanged keeps computing its old value:
+        its consumers were rewired to the carrier, or, for a bypass, to
+        a fanin of the now detached driver.
+        """
+        line = self.table[corr.line]
+        changed = self.propagate_line_override(corr.line, new_words)
+        parent_rows = len(self.values)
+        values = np.empty((len(child_netlist.gates), self.values.shape[1]),
+                          dtype=self.values.dtype)
+        values[:parent_rows] = self.values
+        values[parent_rows:] = new_words
+        for idx, row in changed.items():
+            values[idx] = row
+        if line.is_stem:
+            old = self.netlist.gates[line.driver]
+            new = child_netlist.gates[line.driver]
+            if new.gtype is old.gtype and new.fanin == old.fanin:
+                values[line.driver] = self.values[line.driver]
+        return DiagnosisState(child_netlist, self.patterns, self.spec_out,
+                              values=values)
+
     def propagate_line_override(self, line_index: int,
                                 new_words: np.ndarray) -> dict:
         """Push a hypothetical line value through its fanout cone.

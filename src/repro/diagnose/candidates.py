@@ -242,8 +242,3 @@ def corrections_for_line(state: DiagnosisState, line_index: int,
         return stuck_at_corrections(line_index)
     return design_error_corrections(state, line_index, config)
 
-
-def wire_sources(state: DiagnosisState, driver: int, limit: int
-                 ) -> list[int]:
-    """Back-compat helper: best add-wire sources for ``driver``."""
-    return scored_wire_sources(state, driver, None, limit)

@@ -148,7 +148,8 @@ class DiagnosisConfig:
             correction tuple separately.
         prove_budget: per-equivalence-check conflict budget of the
             dedup pass; budget-exhausted checks never merge.
-        check_invariants: debug mode — assert the Section 2
+        check_invariants: debug mode — assert each state's value
+            matrix against a full simulation, the Section 2
             ``Verr``/``Vcorr`` partition, the Theorem 1 preconditions
             and live-line referencing at every tree node (see
             :class:`repro.analyze.InvariantChecker`).  Off by default;

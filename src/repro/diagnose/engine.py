@@ -42,8 +42,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..analyze.invariants import InvariantChecker
 from ..circuit.netlist import Netlist
 from ..errors import DiagnosisError
@@ -58,7 +56,8 @@ from .pathtrace import derive_seed, marked_lines, path_trace_counts
 from .pipeline import DiagnosisSession, TraceWriter, select_strategy
 from .report import (CorrectionRecord, DiagnosisResult, EngineStats,
                      Solution, mark_truncated, sort_solutions)
-from .screening import prescreen_suspects, screen_verr, theorem1_bound
+from .screening import (predicted_words, prescreen_suspects, screen_verr,
+                        theorem1_bound)
 from .tree import DecisionTree, warm_child_facts
 
 
@@ -160,14 +159,6 @@ class IncrementalDiagnoser:
                                 self.config, root_state=self.root_state)
 
 
-def _forced_words(state: DiagnosisState, corr) -> np.ndarray:
-    """Packed constant words a stuck-at correction forces onto its line."""
-    row = state.values[state.table[corr.line].driver]
-    if corr.kind is CorrectionKind.STUCK_AT_1:
-        return np.full_like(row, np.uint64(0xFFFFFFFFFFFFFFFF))
-    return np.zeros_like(row)
-
-
 def _attempt_label(target: int, h, fraction) -> str:
     return f"N={target} h={h}" + (" full" if fraction else "")
 
@@ -175,26 +166,15 @@ def _attempt_label(target: int, h, fraction) -> str:
 def fast_stuck_at_child(state: DiagnosisState, corr) -> DiagnosisState:
     """Child state for a stuck-at correction without re-simulation.
 
-    Tying a line to a constant adds exactly one constant gate and
-    only changes values inside the line's fanout cone; the child's
-    value matrix is the parent's with the propagated rows replaced
-    and the constant's row appended.  (Exact mode applies thousands
-    of these; the incremental rebuild is the difference between
-    milliseconds and microseconds per node.)
+    Tying a line to a constant adds one constant gate and changes values
+    only inside the line's fanout cone; :meth:`DiagnosisState.child`
+    derives the child's value matrix from the parent's.  (Exact mode
+    applies thousands of these; the incremental rebuild is the
+    difference between milliseconds and microseconds per node.)
     """
-    line = state.table[corr.line]
-    forced = _forced_words(state, corr)
-    changed = state.propagate_line_override(corr.line, forced)
     child_netlist = state.netlist.copy()
     apply_correction(child_netlist, state.table, corr)
-    values = np.vstack([state.values, forced[np.newaxis, :]])
-    for idx, row in changed.items():
-        if line.is_stem and idx == line.driver:
-            continue  # the original driver keeps computing; its
-            # consumers were rewired to the new constant gate
-        values[idx] = row
-    return DiagnosisState(child_netlist, state.patterns,
-                          state.spec_out, values=values)
+    return state.child(child_netlist, corr, predicted_words(state, corr))
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +250,7 @@ def screen_and_rank(state: DiagnosisState, lines: list,
     scored_head = []
     for complemented, corr in screened[:head_n]:
         outcome = state.outcome_of_override(
-            corr.line, _forced_words(state, corr))
+            corr.line, predicted_words(state, corr))
         err_after = state.num_err - outcome.rectified_vectors \
             + outcome.broken_vectors
         scored_head.append((err_after, -complemented, corr))
@@ -358,7 +338,7 @@ class _ExactSearch:
             # propagating the forced line through the parent says so.
             leaf_fails = (len(applied) + 1 == self.target
                           and not state.outcome_of_override(
-                              corr.line, _forced_words(state, corr)
+                              corr.line, predicted_words(state, corr)
                           ).fixes_all)
             child_state = (None if leaf_fails
                            else fast_stuck_at_child(state, corr))

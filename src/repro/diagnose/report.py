@@ -96,7 +96,7 @@ class EngineStats:
     rounds: int = 0
     diag_time: float = 0.0    # path trace + heuristic 1 (per-node diagnosis)
     corr_time: float = 0.0    # correction enumeration/screening/ranking
-    apply_time: float = 0.0   # structural application + re-simulation
+    apply_time: float = 0.0   # structural application + child state
     total_time: float = 0.0
     levels_tried: list = field(default_factory=list)  # "N=2 h=0.3/0.7/0.95"
     truncated: bool = False   # some reachable work was dropped

@@ -169,8 +169,8 @@ class DecisionTree:
             # Only children that may expand (and hence pre-screen) are
             # worth warming; frontier nodes never read their facts.
             warm_child_facts(state.netlist, child_netlist, self.stats)
-        child_state = DiagnosisState(child_netlist, state.patterns,
-                                     state.spec_out)
+        child_state = state.child(child_netlist, sc.correction,
+                                  sc.new_words)
         if self.invariants:
             self.invariants.check_state(child_state)
         self.stats.apply_time += clock.now() - t0

@@ -2,8 +2,7 @@
 
 from .models import (Correction, CorrectionKind, StuckAtFault,
                      STUCK_AT_KINDS, apply_correction,
-                     corrected_line_words, propagation_override,
-                     stuck_at_correction)
+                     corrected_line_words, stuck_at_correction)
 from .abadir import (DEFAULT_ERROR_DISTRIBUTION, ErrorType, GATE_RELATED,
                      REPAIRING_KIND, WIRE_RELATED)
 from .inject import (InjectionRecord, Workload, ground_truth_faults,
@@ -15,8 +14,7 @@ from .bridging import (BridgeKind, BridgingDiagnoser, BridgingFault,
 
 __all__ = [
     "Correction", "CorrectionKind", "StuckAtFault", "STUCK_AT_KINDS",
-    "apply_correction", "corrected_line_words", "propagation_override",
-    "stuck_at_correction",
+    "apply_correction", "corrected_line_words", "stuck_at_correction",
     "DEFAULT_ERROR_DISTRIBUTION", "ErrorType", "GATE_RELATED",
     "REPAIRING_KIND", "WIRE_RELATED",
     "InjectionRecord", "Workload", "ground_truth_faults",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..circuit.gatetypes import GateType, eval_words
-from ..circuit.lines import Line, LineTable
+from ..circuit.lines import LineTable
 from ..circuit.netlist import Netlist
 from ..errors import InjectionError
 
@@ -249,28 +249,3 @@ def corrected_line_words(netlist: Netlist, table: LineTable,
                           [values[line.driver],
                            values[corr.other_signal]])
     raise InjectionError(f"unhandled correction kind {kind}")
-
-
-def line_words(table: LineTable, line_index: int,
-               values: np.ndarray) -> np.ndarray:
-    """Current packed values carried by a line (branch == its stem)."""
-    return values[table[line_index].driver]
-
-
-def propagation_override(table: LineTable, corr: Correction,
-                         new_words: np.ndarray) -> tuple[dict, dict]:
-    """Translate a predicted correction value into simulator overrides.
-
-    Returns ``(stem_overrides, pin_overrides)`` for
-    :func:`repro.sim.logicsim.propagate`.  A stem correction overrides the
-    whole signal; a branch correction overrides only the sink pin.
-    """
-    line = table[corr.line]
-    if line.is_stem:
-        return {line.driver: new_words}, {}
-    return {}, {(line.sink, line.pin): new_words}
-
-
-def remove_inverter_predicted_ok(netlist: Netlist, line: Line) -> bool:
-    """True when a REMOVE_INVERTER correction is structurally possible."""
-    return netlist.gates[line.driver].gtype is GateType.NOT

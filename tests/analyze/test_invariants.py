@@ -9,6 +9,8 @@ from repro.analyze import InvariantChecker
 from repro.circuit import generators
 from repro.diagnose.bitlists import DiagnosisState
 from repro.errors import InvariantViolation
+from repro.faults.models import (Correction, CorrectionKind,
+                                 apply_correction, corrected_line_words)
 from repro.sim.logicsim import output_rows, simulate
 
 
@@ -48,6 +50,24 @@ def test_count_mismatch_detected():
     state.num_err += 1
     with pytest.raises(InvariantViolation, match="inconsistent"):
         InvariantChecker().check_state(state)
+
+
+def test_corrupted_child_row_detected():
+    """A derived child whose value matrix drifts from a full simulation
+    of its netlist is caught, even when its partition stays valid."""
+    state = make_state()
+    corr = Correction(state.table.stem(state.netlist.outputs[0]).index,
+                      CorrectionKind.INSERT_INVERTER)
+    child_netlist = state.netlist.copy()
+    apply_correction(child_netlist, state.table, corr)
+    child = state.child(child_netlist, corr, corrected_line_words(
+        state.netlist, state.table, corr, state.values))
+    checker = InvariantChecker()
+    checker.check_state(child)
+    appended = len(child.values) - 1
+    child.values[appended] ^= np.uint64(1)
+    with pytest.raises(InvariantViolation, match="full simulation"):
+        checker.check_state(child)
 
 
 def test_theorem1_preconditions():

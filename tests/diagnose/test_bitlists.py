@@ -35,20 +35,12 @@ def test_rectified_state(c17):
     assert state.num_err_pairs == 0
 
 
-def test_line_values_and_verr_size(c17):
+def test_line_values(c17):
     state, _, _ = make_state(c17, seed=3)
-    assert state.verr_size() == state.num_err
     for line in state.table:
         vals = state.line_values(line.index)
         assert vals.shape == (state.values.shape[1],)
         assert np.array_equal(vals, state.values[line.driver])
-
-
-def test_cone_caching(c17):
-    state, _, _ = make_state(c17)
-    cone1 = state.cone_of(0)
-    cone2 = state.cone_of(0)
-    assert cone1 is cone2
 
 
 def test_outcome_of_override_matches_structural_fix(c17):

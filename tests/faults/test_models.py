@@ -13,7 +13,6 @@ from repro.circuit import GateType, LineTable, Netlist, generators
 from repro.errors import InjectionError
 from repro.faults.models import (Correction, CorrectionKind,
                                  apply_correction, corrected_line_words,
-                                 propagation_override,
                                  stuck_at_correction)
 from repro.sim import PatternSet, simulate
 
@@ -166,19 +165,3 @@ def test_describe_is_stable_and_informative():
     branch = table.branch(nl.index_of("k"), 0)
     wire = Correction(branch.index, CorrectionKind.INSERT_INVERTER)
     assert wire.describe(nl, table) == "insert_inverter@g->k.0"
-
-
-def test_propagation_override_shape():
-    nl = build()
-    table = LineTable(nl)
-    g_line = table.stem(nl.index_of("g")).index
-    words = np.zeros(1, dtype=np.uint64)
-    stems, pins = propagation_override(
-        table, Correction(g_line, CorrectionKind.STUCK_AT_0), words)
-    assert list(stems) == [nl.index_of("g")]
-    assert pins == {}
-    branch = table.branch(nl.index_of("k"), 0)
-    stems, pins = propagation_override(
-        table, Correction(branch.index, CorrectionKind.STUCK_AT_0), words)
-    assert stems == {}
-    assert list(pins) == [(nl.index_of("k"), 0)]

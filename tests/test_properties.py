@@ -3,7 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.circuit import LineTable, generators
+from repro.circuit import GateType, LineTable, generators
+from repro.circuit.gatetypes import REPLACEMENT_CLASSES
 from repro.diagnose import DiagnosisState, IncrementalDiagnoser
 from repro.diagnose.config import DiagnosisConfig, Mode
 from repro.faults import inject_stuck_at_faults
@@ -34,31 +35,104 @@ def test_injected_faults_reproduce_as_corrections(seed, count):
     assert equivalent(impl_out, modeled_out, patterns.nbits)
 
 
+_STEM_ONLY = frozenset((CorrectionKind.GATE_REPLACE,
+                       CorrectionKind.REMOVE_INPUT_WIRE,
+                       CorrectionKind.ADD_INPUT_WIRE,
+                       CorrectionKind.REPLACE_INPUT_WIRE,
+                       CorrectionKind.BYPASS_GATE,
+                       CorrectionKind.INSERT_GATE))
+_PROMOTIONS = {GateType.BUF: (GateType.AND, GateType.OR, GateType.XOR),
+               GateType.NOT: (GateType.NAND, GateType.NOR, GateType.XNOR)}
+
+
+def _legal_correction(rng, state, kind):
+    """A random structurally legal ``kind`` correction, or None.
+
+    Wire and insert-gate sources come from outside the driver's fanout
+    cone, as the DEDC enumerator draws them, so no edit closes a cycle.
+    """
+    netlist = state.netlist
+    lines = list(state.table)
+    rng.shuffle(lines)
+    for line in lines:
+        if kind in _STEM_ONLY and not line.is_stem:
+            continue
+        driver = netlist.gates[line.driver]
+        fanin = driver.fanin
+        cone = netlist.fanout_cone(line.driver)
+        sources = [g.index for g in netlist.gates
+                   if g.index not in cone and g.index not in fanin]
+        pin = rng.randrange(len(fanin)) if fanin else None
+        if kind is CorrectionKind.REMOVE_INVERTER:
+            if driver.gtype is GateType.NOT:
+                return Correction(line.index, kind)
+        elif kind is CorrectionKind.GATE_REPLACE:
+            choices = REPLACEMENT_CLASSES.get(driver.gtype)
+            if choices:
+                return Correction(line.index, kind,
+                                  new_type=rng.choice(choices))
+        elif kind is CorrectionKind.REMOVE_INPUT_WIRE:
+            if len(fanin) >= 2:
+                return Correction(line.index, kind, pin=pin)
+        elif kind is CorrectionKind.BYPASS_GATE:
+            if fanin:
+                return Correction(line.index, kind, pin=pin)
+        elif kind is CorrectionKind.ADD_INPUT_WIRE:
+            if fanin and sources:
+                promos = _PROMOTIONS.get(driver.gtype)
+                return Correction(
+                    line.index, kind, other_signal=rng.choice(sources),
+                    new_type=rng.choice(promos) if promos else None)
+        elif kind is CorrectionKind.REPLACE_INPUT_WIRE:
+            if fanin and sources:
+                return Correction(line.index, kind, pin=pin,
+                                  other_signal=rng.choice(sources))
+        elif kind is CorrectionKind.INSERT_GATE:
+            if sources:
+                return Correction(
+                    line.index, kind, other_signal=rng.choice(sources),
+                    new_type=rng.choice((GateType.AND, GateType.OR,
+                                         GateType.XOR)))
+        else:  # stuck-at and insert-inverter: any stem or branch
+            return Correction(line.index, kind)
+    return None
+
+
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 4_000))
-def test_corrected_line_words_is_sound(seed):
-    """Random circuit, random stuck-at/inverter correction: the
-    no-mutation prediction equals the post-application simulation."""
+@given(seed=st.integers(0, 4_000),
+       nbits=st.sampled_from([1, 63, 64, 65, 130]))
+def test_corrected_line_words_is_sound(seed, nbits):
+    """A chain of corrections of all ten kinds, on stems and branches:
+    the no-mutation prediction pushed through the fanout cone
+    (``DiagnosisState.child``) gives the state a full simulation of the
+    corrected netlist gives, value matrix included (appended and
+    detached rows, tail bits)."""
     import random
     rng = random.Random(seed)
-    circuit = generators.random_dag(5, 30, 3, seed=seed % 6)
-    table = LineTable(circuit)
-    patterns = PatternSet.random(5, 128, seed=seed)
-    values = simulate(circuit, patterns)
-    line = table[rng.randrange(len(table))]
-    kind = rng.choice([CorrectionKind.STUCK_AT_0,
-                       CorrectionKind.STUCK_AT_1,
-                       CorrectionKind.INSERT_INVERTER])
-    corr = Correction(line.index, kind)
-    predicted = corrected_line_words(circuit, table, corr, values)
-    mutated = circuit.copy()
-    apply_correction(mutated, table, corr)
-    new_values = simulate(mutated, patterns)
-    new_gate = len(circuit.gates)  # all three kinds add one gate
-    from repro.sim import tail_mask
-    mask = tail_mask(patterns.nbits)
-    assert (predicted[-1] & mask) == (new_values[new_gate][-1] & mask)
-    assert np.array_equal(predicted[:-1], new_values[new_gate][:-1])
+    impl = generators.random_dag(5, 30, 3, seed=seed % 6)
+    spec = generators.random_dag(5, 30, 3, seed=seed % 6 + 1)
+    patterns = PatternSet.random(5, nbits, seed=seed)
+    spec_out = output_rows(spec, simulate(spec, patterns))
+    state = DiagnosisState(impl, patterns, spec_out)
+    kinds = list(CorrectionKind)
+    rng.shuffle(kinds)
+    for kind in kinds:
+        corr = _legal_correction(rng, state, kind)
+        if corr is None:
+            continue
+        predicted = corrected_line_words(state.netlist, state.table, corr,
+                                         state.values)
+        child_netlist = state.netlist.copy()
+        apply_correction(child_netlist, state.table, corr)
+        child = state.child(child_netlist, corr, predicted)
+        fresh = DiagnosisState(child_netlist, patterns, spec_out)
+        assert np.array_equal(child.values, fresh.values), \
+            corr.describe(state.netlist, state.table)
+        assert np.array_equal(child.diff, fresh.diff)
+        assert np.array_equal(child.err_mask, fresh.err_mask)
+        assert child.num_err == fresh.num_err
+        assert child.num_err_pairs == fresh.num_err_pairs
+        state = child
 
 
 @settings(max_examples=12, deadline=None)
