@@ -776,18 +776,24 @@ class NetlistFacts:
     def observable_set(self) -> frozenset:
         """Signals with a combinational path to some primary output."""
         if self._observable is None:
-            gates = self.netlist.gates
-            seen: set = set()
-            stack = list(self.netlist.outputs)
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                if gates[node].gtype is not GateType.DFF:
-                    stack.extend(gates[node].fanin)
-            self._observable = frozenset(seen)
+            self._observable = frozenset(self._reach_outputs())
         return self._observable
+
+    def _reach_outputs(self, removed: int = -1) -> set:
+        """Signals with a combinational path to a primary output that
+        avoids the gate ``removed`` (DFF fanin edges are not followed)."""
+        gates = self.netlist.gates
+        seen: set = set()
+        stack = [out for out in self.netlist.outputs if out != removed]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            if gates[node].gtype is not GateType.DFF:
+                stack.extend(src for src in gates[node].fanin
+                             if src != removed)
+        return seen
 
     def observable(self, signal: int) -> bool:
         return signal in self.observable_set()
@@ -867,21 +873,35 @@ class NetlistFacts:
         return tuple(conditions)
 
     def blocked_signals(self, deep: bool = False) -> frozenset:
-        """All signals whose ODC conditions are statically always-on."""
+        """All signals whose ODC conditions are statically always-on.
+
+        Seeded from the constants rather than checked per signal: an
+        observable gate ``d`` whose fanin ``src`` provably carries
+        ``d``'s controlling value blocks every ``s != d`` that ``d``
+        dominates (``s`` reaches no output once ``d`` is removed) and
+        that is outside ``src``'s fanin cone — exactly the signals with
+        an always-on :meth:`odc_conditions` entry.
+        """
         key = bool(deep) or self._implications is not None
         cached = self._blocked.get(key)
         if cached is not None:
             return cached
-        consts = self.known_constants(deep=key)
-        blocked = set()
-        for gate in self.netlist.gates:
-            i = gate.index
-            if not self.observable(i):
-                continue
-            for cond in self.odc_conditions(i):
-                if consts.get(cond.side_input) == cond.ctrl:
-                    blocked.add(i)
-                    break
+        observable = self.observable_set()
+        netlist = self.netlist
+        fanouts = netlist.fanouts()
+        sides: Dict[int, set] = {}
+        for src, value in self.known_constants(deep=key).items():
+            for d in fanouts[src]:
+                if d in observable and controlling_value(
+                        netlist.gates[d].gtype) == value:
+                    sides.setdefault(d, set()).add(src)
+        blocked: set = set()
+        for d, srcs in sides.items():
+            # Everything in d's fanin cone is observable through d.
+            dominated = netlist.fanin_cone(d) - self._reach_outputs(d)
+            dominated.discard(d)
+            for src in srcs:
+                blocked |= dominated - netlist.fanin_cone(src)
         result = frozenset(blocked)
         self._blocked[key] = result
         return result

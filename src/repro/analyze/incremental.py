@@ -37,14 +37,6 @@ arguments, per layer:
   endpoint (in the old *or* new graph — membership of a removed edge
   matters too) can change their reachability set, so transitive closure
   is recomputed for that affected set only.
-* **ODC blocked verdicts**: a node's verdict reads its dominators, its
-  cone, the dominator gates' definitions, its observability and the
-  constant status of the dominators' side inputs.  The first four only
-  change inside the dominator repair region (every witness is
-  combinationally reachable from the node, so the node sits in the
-  region's backward cone); a flipped side-input constant of dominator
-  ``d`` only moves verdicts inside ``d``'s fanin cone.  Verdicts are
-  re-derived for that affected set and copied everywhere else.
 * **Reset fixpoint**: warm-started re-descent.  Sweep one re-solves the
   edit region plus the cones of registers whose assumed value differs
   between the cached final state and the sweep's initial state; each
@@ -67,7 +59,7 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from ..circuit.gatetypes import GateType
 from ..circuit.netlist import Netlist
-from .dataflow import (_CONST_CLASS, DataflowDomain, Implications,
+from .dataflow import (DataflowDomain, Implications,
                        NetlistFacts, TernaryConstants, _Dominators,
                        _StructuralClasses, strongly_connected_components)
 
@@ -394,50 +386,6 @@ def warm_facts(netlist: Netlist, base: NetlistFacts, delta,
             if sources.isdisjoint(cone):
                 fresh._cones[start] = cone
 
-    # -- ODC blocked verdicts ------------------------------------------
-    # blocked(i) reads dominators(i), cone(i), the dominator gates'
-    # definitions, observability of i and the constant status of the
-    # dominators' side inputs.  The first four can only change for
-    # nodes inside the dominator repair region (a dominator, a touched
-    # gate or a changed-cone witness is combinationally reachable from
-    # i, and the region is exactly the backward cone of every seed);
-    # a changed side-input constant of a dominator d can only move
-    # verdicts of nodes in d's fanin cone.  Everything outside keeps
-    # its base verdict.  Only the key the fresh bundle itself would
-    # compute is repaired — a stale other-keyed entry stays lazy.
-    key = fresh._implications is not None
-    if base._blocked.get(key) is not None and "dominators" in want \
-            and dom_region is not None and base._constants is not None \
-            and (not key or fresh._literals is not None):
-        old_consts = dict(base._constants)
-        new_consts = dict(fresh.constants())
-        if key:
-            # mirror NetlistFacts.known_constants(deep=True) merge order
-            for consts, facts in ((old_consts, base), (new_consts, fresh)):
-                consts.update(facts._implications.implied_constants)
-                consts.update(
-                    {i: int(lit[1])
-                     for i, lit in enumerate(facts._literals)
-                     if lit is not None and lit[0] == _CONST_CLASS
-                     and i not in facts._constants})
-        affected = set(dom_region)
-        diff = {s for s in old_consts.keys() | new_consts.keys()
-                if old_consts.get(s) != new_consts.get(s)}
-        if diff:
-            heads = [g.index for g in netlist.gates
-                     if not diff.isdisjoint(g.fanin)]
-            affected |= _backward_region(netlist, heads)
-        new_obs = fresh.observable_set()
-        blocked = {i for i in base._blocked[key] if i not in affected}
-        for i in affected:
-            if i not in new_obs:
-                continue
-            for cond in fresh.odc_conditions(i):
-                if new_consts.get(cond.side_input) == cond.ctrl:
-                    blocked.add(i)
-                    break
-        fresh._blocked[key] = frozenset(blocked)
-
     # -- SCOAP cost lattices -------------------------------------------
     # Controllability is a plain forward analysis: the edit region is
     # exactly the fanout cones of the touched gates.  Observability
@@ -484,9 +432,10 @@ def warm_facts(netlist: Netlist, base: NetlistFacts, delta,
     # A site record reads its head's dominators/cone/ODC conditions,
     # the sink's pins (branch sites) and the global DFF-feed frontier —
     # all of which can only change for heads inside the dominator
-    # repair region (same argument as the ODC verdicts: every witness,
-    # including a DFF-feed flip, is seeded from touched/sources and the
-    # region is the backward cone of the seeds).  New sites always
+    # repair region (every witness, including a DFF-feed flip, is
+    # combinationally reachable from the head and seeded from
+    # touched/sources, and the region is the backward cone of the
+    # seeds).  New sites always
     # re-derive (an added gate is touched; a new branch pin's sink is
     # touched or its driver a source — either way inside the region).
     # A verdict outside the region can still flip when the implication

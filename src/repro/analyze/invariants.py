@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..circuit.gatetypes import GateType
+from ..circuit.netlist import Netlist
 from ..errors import InvariantViolation
 from ..sim.logicsim import simulate
 from ..sim.packing import popcount, tail_mask
@@ -37,14 +39,15 @@ class InvariantChecker:
 
     # ------------------------------------------------------------------
     def check_state(self, state) -> None:
-        """The value matrix equals a full simulation of the state's
-        netlist, and the ``Verr``/``Vcorr`` partition is disjoint and
-        complete.
+        """The state's netlist carries sound structural caches, its
+        value matrix equals a full simulation of that netlist, and the
+        ``Verr``/``Vcorr`` partition is disjoint and complete.
 
         ``state`` is a :class:`~repro.diagnose.bitlists.DiagnosisState`;
         typed loosely to keep this module import-light.
         """
         self.checks_run += 1
+        _check_structure(state.netlist)
         simulated = simulate(state.netlist, state.patterns)
         if state.values.shape != simulated.shape:
             raise InvariantViolation(
@@ -115,3 +118,29 @@ class InvariantChecker:
                     f"correction references line "
                     f"{table.describe(line_index)} whose driver "
                     f"{netlist.gates[driver].name!r} is detached")
+
+
+def _check_structure(netlist: Netlist) -> None:
+    """Materialized structural caches (inherited by ``copy()``, patched
+    by the journal) equal a recompute; the order need only be valid."""
+    scratch = Netlist(netlist.name)
+    scratch.gates = netlist.gates  # read-only: same gates, no caches
+    for label, cached, fresh in (
+            ("fanouts", netlist._fanouts, scratch.fanouts),
+            ("event fanouts", netlist._event_fanouts,
+             scratch.event_fanouts)):
+        if cached is not None and \
+                [sorted(row) for row in cached] != \
+                [sorted(row) for row in fresh()]:
+            raise InvariantViolation(f"cached {label} are stale")
+    if netlist._levels is not None and netlist._levels != scratch.levels():
+        raise InvariantViolation("cached levels are stale")
+    topo, n = netlist._topo, len(netlist.gates)
+    if topo is None:
+        return
+    pos = {idx: rank for rank, idx in enumerate(topo)}
+    if sorted(topo) != list(range(n)) or any(
+            pos[src] >= pos[gate.index] for gate in netlist.gates
+            if gate.gtype is not GateType.DFF for src in gate.fanin) \
+            or netlist._topo_pos not in (None, [pos[i] for i in range(n)]):
+        raise InvariantViolation("cached topological order is invalid")

@@ -390,7 +390,7 @@ class Testability:
     def untestable_line_keys(self, table: LineTable) -> Set[Tuple[int, int]]:
         """``(line_index, stuck_value)`` pairs for a line table.
 
-        Sites without a line (dead gates under ``only_live`` tables,
+        Sites without a line (detached gates, which a table skips,
         single-fanout pins) are simply skipped — the mapping only ever
         under-approximates, never invents a fault.
         """

@@ -178,7 +178,7 @@ def _dump(netlist: Netlist, handle: TextIO) -> None:
     for po in netlist.outputs:
         handle.write(f"OUTPUT({netlist.gates[po].name})\n")
     live = netlist.live_set()
-    for idx in netlist.topo_order():
+    for idx in netlist.scratch_topo_order():
         if idx not in live:
             continue
         gate = netlist.gates[idx]
@@ -186,5 +186,3 @@ def _dump(netlist: Netlist, handle: TextIO) -> None:
             continue
         args = ", ".join(netlist.gates[src].name for src in gate.fanin)
         handle.write(f"{gate.name} = {_OP_NAMES[gate.gtype]}({args})\n")
-    # DFFs may be live but outside the combinational topo order roots; the
-    # topo order already includes them as sources, so nothing more to do.

@@ -13,7 +13,6 @@ index mapping used throughout the diagnosis engine.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .netlist import Netlist
 
@@ -23,9 +22,8 @@ class LineKind(enum.Enum):
     BRANCH = "branch"
 
 
-@dataclass(frozen=True)
 class Line:
-    """One fault site.
+    """One fault site (a slotted record: one table is built per tree node).
 
     Attributes:
         index: position in the owning :class:`LineTable`.
@@ -35,11 +33,15 @@ class Line:
         pin: fanin position at ``sink`` (branches only, else ``None``).
     """
 
-    index: int
-    kind: LineKind
-    driver: int
-    sink: int | None = None
-    pin: int | None = None
+    __slots__ = ("index", "kind", "driver", "sink", "pin")
+
+    def __init__(self, index: int, kind: LineKind, driver: int,
+                 sink: int | None = None, pin: int | None = None):
+        self.index = index
+        self.kind = kind
+        self.driver = driver
+        self.sink = sink
+        self.pin = pin
 
     @property
     def is_stem(self) -> bool:
@@ -55,31 +57,31 @@ class Line:
 
 
 class LineTable:
-    """All lines of a netlist, in deterministic order (stems first in gate
-    order, then branches in (sink, pin) order)."""
+    """All lines of a netlist's live gates and primary inputs, in
+    deterministic order (stems first in gate order, then branches in
+    (sink, pin) order).  Detached gates have no lines."""
 
-    def __init__(self, netlist: Netlist, only_live: bool = True):
+    def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self.lines: list[Line] = []
         self._stem_of_gate: dict[int, int] = {}
         self._branch_of: dict[tuple[int, int], int] = {}
-        live = netlist.live_set() | set(netlist.inputs) if only_live else None
+        live = netlist.live_set() | set(netlist.inputs)
         fanouts = netlist.fanouts()
+        stems: list[Line] = []
+        branches: list[Line] = []
+        # Every live gate gets a stem, so branches start at len(live).
         for gate in netlist.gates:
-            if live is not None and gate.index not in live:
+            sink = gate.index
+            if sink not in live:
                 continue
-            idx = len(self.lines)
-            self.lines.append(Line(idx, LineKind.STEM, gate.index))
-            self._stem_of_gate[gate.index] = idx
-        for gate in netlist.gates:
-            if live is not None and gate.index not in live:
-                continue
+            self._stem_of_gate[sink] = len(stems)
+            stems.append(Line(len(stems), LineKind.STEM, sink))
             for pin, src in enumerate(gate.fanin):
                 if len(fanouts[src]) > 1:
-                    idx = len(self.lines)
-                    self.lines.append(
-                        Line(idx, LineKind.BRANCH, src, gate.index, pin))
-                    self._branch_of[(gate.index, pin)] = idx
+                    idx = len(live) + len(branches)
+                    self._branch_of[(sink, pin)] = idx
+                    branches.append(Line(idx, LineKind.BRANCH, src, sink, pin))
+        self.lines: list[Line] = stems + branches
 
     def __len__(self) -> int:
         return len(self.lines)

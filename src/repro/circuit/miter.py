@@ -41,7 +41,7 @@ def build_miter(a: Netlist, b: Netlist,
         src_pis = src.inputs
         for pos, pi in enumerate(src_pis):
             mapping[pi] = pis[pos]
-        for idx in src.topo_order():
+        for idx in src.scratch_topo_order():
             gate = src.gates[idx]
             if gate.gtype is GateType.INPUT:
                 continue

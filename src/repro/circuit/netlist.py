@@ -216,10 +216,11 @@ class Netlist:
         Every gate is included — detached gates too, because diagnosis
         may need their simulated values (e.g. to reconnect a wire whose
         removal orphaned its source).  Raises :class:`NetlistError` on a
-        combinational cycle.
+        combinational cycle.  The order is cached, repaired by edits and
+        inherited by :meth:`copy`, so it is valid but history-dependent.
         """
         if self._topo is None:
-            self._topo = self._compute_topo()
+            self._topo = self.scratch_topo_order()
         return self._topo
 
     def topo_positions(self) -> list[int]:
@@ -237,7 +238,9 @@ class Netlist:
             self._topo_pos = pos
         return self._topo_pos
 
-    def _compute_topo(self) -> list[int]:
+    def scratch_topo_order(self) -> list[int]:
+        """A topological order computed afresh, a function of the gates
+        alone: for writers and builders whose output follows the order."""
         order: list[int] = []
         state = bytearray(len(self.gates))  # 0 unseen, 1 on stack, 2 done
         stack: list[tuple[int, int]] = []
@@ -545,14 +548,9 @@ class Netlist:
         moved: Optional[set[int]] = None
         if self._topo is not None and new_srcs and \
                 gates[sink].gtype is not GateType.DFF:
-            if self._topo_pos is None:
-                pos = [0] * len(gates)
-                for rank, idx in enumerate(self._topo):
-                    pos[idx] = rank
-                self._topo_pos = pos
+            pos = self.topo_positions()
             new_src = new_srcs[0]
-            if new_src == sink or self._topo_pos[new_src] > \
-                    self._topo_pos[sink]:
+            if new_src == sink or pos[new_src] > pos[sink]:
                 moved = self._patch_topo_edge(new_src, sink)
         self._drop_cones_touching(set(old_srcs + new_srcs))
         if moved:
@@ -805,11 +803,20 @@ class Netlist:
     def copy(self, name: str | None = None) -> "Netlist":
         """Deep copy (indices preserved).  The copy starts at version 0
         with an empty journal: snapshot 0, mutate, and ``edits_since(0)``
-        describes exactly the mutations applied to the copy."""
+        describes exactly the mutations applied to the copy.  The caches
+        the journal repairs in place (fanouts, event fanouts, topological
+        order and ranks, levels) are carried as independent copies, so a
+        corrected copy patches them instead of rebuilding them."""
         dup = Netlist(name or self.name)
         dup.gates = [g.copy() for g in self.gates]
         dup.outputs = list(self.outputs)
         dup._name2idx = dict(self._name2idx)
+        if self._fanouts is not None:
+            dup._fanouts = [list(row) for row in self._fanouts]
+        for attr in ("_event_fanouts", "_topo", "_topo_pos", "_levels"):
+            cached = getattr(self, attr)
+            if cached is not None:
+                setattr(dup, attr, list(cached))
         return dup
 
     def compacted(self, name: str | None = None) -> "Netlist":

@@ -64,7 +64,7 @@ def _propagate_constants(nl: Netlist) -> bool:
     """One pass of constant folding; returns True if anything changed."""
     changed = False
     const_val: dict[int, int] = {}
-    for idx in nl.topo_order():
+    for idx in nl.scratch_topo_order():
         gate = nl.gates[idx]
         if gate.gtype is GateType.CONST0:
             const_val[idx] = 0
@@ -176,7 +176,7 @@ def _share_duplicates(nl: Netlist) -> bool:
     changed = False
     seen: dict[tuple, int] = {}
     remap: dict[int, int] = {}
-    for idx in nl.topo_order():
+    for idx in nl.scratch_topo_order():
         gate = nl.gates[idx]
         fanin = tuple(remap.get(s, s) for s in gate.fanin)
         if fanin != tuple(gate.fanin):

@@ -73,6 +73,7 @@ def unroll(netlist: Netlist, frames: int, initial_state=0,
 
     num_inputs = 0
     prev_frame: dict = {}
+    order = netlist.scratch_topo_order()
     outputs: list = []
     for t in range(frames):
         mapping: dict = {}
@@ -81,7 +82,7 @@ def unroll(netlist: Netlist, frames: int, initial_state=0,
             mapping[pi] = new
             umap.pi_rows[(t, pos)] = num_inputs
             num_inputs += 1
-        for idx in netlist.topo_order():
+        for idx in order:
             gate = netlist.gates[idx]
             if gate.gtype is GateType.INPUT:
                 continue

@@ -158,7 +158,7 @@ def dumps(netlist: Netlist) -> str:
         chunk = wires[chunk_start:chunk_start + 8]
         out.write(f"  wire {', '.join(chunk)};\n")
     counter = 0
-    for idx in netlist.topo_order():
+    for idx in netlist.scratch_topo_order():
         if idx not in live:
             continue
         gate = netlist.gates[idx]

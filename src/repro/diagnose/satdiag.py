@@ -94,6 +94,18 @@ class SatSearchStrategy(SearchStrategy):
         return result
 
 
+def _forced(builder: CnfBuilder, selector: tuple, base: int) -> int:
+    """Fresh variable equal to ``base`` unless a selector forces it:
+    ``s0 -> ~var``, ``s1 -> var``."""
+    s0, s1 = selector
+    var = builder.new_var()
+    builder.add([-s0, -var])
+    builder.add([-s1, var])
+    builder.add([s0, s1, -var, base])
+    builder.add([s0, s1, var, -base])
+    return var
+
+
 class SatDiagnoser:
     """Enumerate minimal stuck-at tuples explaining a faulty device."""
 
@@ -172,49 +184,30 @@ class SatDiagnoser:
             else:
                 pin_sel[(line.sink, line.pin)] = (s0, s1)
 
+        # The structure is the same for every vector: walk it once.
+        live = netlist.live_set() | set(netlist.inputs)
+        live_gates = [netlist.gates[idx] for idx in netlist.topo_order()
+                      if idx in live]
+        input_pos = {idx: pos for pos, idx in enumerate(netlist.inputs)}
         for vector in self._constraint_vectors:
-            raw = {}       # gate -> fault-free function output var
             modeled = {}   # gate -> value seen by consumers
             vbits = self.patterns.vector(vector)
-            order = netlist.topo_order()
-            live = netlist.live_set() | set(netlist.inputs)
-            for idx in order:
-                if idx not in live:
-                    continue
-                gate = netlist.gates[idx]
+            for gate in live_gates:
+                idx = gate.index
                 var = builder.new_var()
-                raw[idx] = var
                 if gate.gtype is GateType.INPUT:
-                    position = netlist.inputs.index(idx)
-                    builder.constant(var, bool(vbits[position]))
+                    builder.constant(var, bool(vbits[input_pos[idx]]))
                 else:
                     pin_vars = []
                     for pin, src in enumerate(gate.fanin):
-                        base = modeled[src]
                         selector = pin_sel.get((idx, pin))
-                        if selector is None:
-                            pin_vars.append(base)
-                        else:
-                            s0, s1 = selector
-                            pv = builder.new_var()
-                            # s0 -> ~pv ; s1 -> pv ; else pv == base
-                            builder.add([-s0, -pv])
-                            builder.add([-s1, pv])
-                            builder.add([s0, s1, -pv, base])
-                            builder.add([s0, s1, pv, -base])
-                            pin_vars.append(pv)
+                        pin_vars.append(
+                            modeled[src] if selector is None
+                            else _forced(builder, selector, modeled[src]))
                     builder.encode_gate(gate.gtype, var, pin_vars)
                 selector = stem_sel.get(idx)
-                if selector is None:
-                    modeled[idx] = var
-                else:
-                    s0, s1 = selector
-                    mv = builder.new_var()
-                    builder.add([-s0, -mv])
-                    builder.add([-s1, mv])
-                    builder.add([s0, s1, -mv, var])
-                    builder.add([s0, s1, mv, -var])
-                    modeled[idx] = mv
+                modeled[idx] = (var if selector is None
+                                else _forced(builder, selector, var))
             for po_pos, po in enumerate(netlist.outputs):
                 builder.constant(modeled[po],
                                  self._observed_bit(po_pos, vector))

@@ -54,6 +54,8 @@ def prescreen_suspects(state: DiagnosisState, lines,
     line cannot explain any failing response, so no simulation is
     spent on it.  Branch lines inherit their stem's verdict: every
     branch path is a stem path, so a blocked stem blocks its branches.
+    The blocked set is seeded from the known constants, so the screen
+    reads no dominator sets or cones.
 
     ``deep=True`` additionally uses implication- and hash-derived
     constants (pricier; the engine enables it for root-level

@@ -33,14 +33,13 @@ from .report import (CorrectionRecord, EngineStats, Solution,
 from .screening import (ScreenedCorrection, prescreen_suspects,
                         screen_corrections)
 
-#: Facts sections the static pre-screen reads; the warm repair covers
-#: exactly these and leaves the rest lazy.  Implications are excluded
-#: on purpose: child pre-screens run shallow (``deep=False``), and a
-#: warmed implication graph would silently upgrade their
-#: ``blocked_signals`` verdicts — breaking bit-identity with facts
-#: recomputed from scratch.
-PRESCREEN_SECTIONS = frozenset(
-    ("constants", "observable", "dominators", "cones"))
+#: Facts sections the static pre-screen reads (``blocked_signals`` needs
+#: only these two); the warm repair covers exactly them and leaves the
+#: rest lazy.  Implications are excluded on purpose: child pre-screens
+#: run shallow (``deep=False``), and a warmed implication graph would
+#: silently upgrade their ``blocked_signals`` verdicts — breaking
+#: bit-identity with facts recomputed from scratch.
+PRESCREEN_SECTIONS = frozenset(("constants", "observable"))
 
 
 def warm_child_facts(parent, child, stats: EngineStats) -> None:

@@ -14,9 +14,12 @@ import pytest
 from repro.analyze.dataflow import (NetlistFacts, netlist_facts,
                                     run_dataflow, TernaryConstants,
                                     strongly_connected_components)
-from repro.circuit import GateType, Netlist, generators
+from repro.circuit import GateType, LineTable, Netlist, generators
+from repro.faults.models import apply_correction, stuck_at_correction
 from repro.sim import PatternSet
 from repro.sim.logicsim import simulate
+
+from .odc_oracle import blocked_signals_oracle
 
 _GATE_TYPES = (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
                GateType.XOR, GateType.XNOR, GateType.NOT, GateType.BUF)
@@ -219,6 +222,55 @@ def test_dominators_stop_at_primary_output():
     facts = netlist_facts(nl)
     assert facts.dominators(po) == frozenset({po})
     assert facts.dominators(a) == frozenset({a, po})
+
+
+def _odc_cases():
+    """Named netlists for the blocked-set oracle, each followed by 1-3
+    random stem/branch stuck-at corrections applied to copies."""
+    bases = [generators.c17(), generators.s27(),
+             generators.ripple_carry_adder(8), generators.hamming_corrector(8),
+             generators.alu(4), generators.comparator(8)]
+    bases += [generators.random_dag(8, 60, 4, seed=s) for s in range(5)]
+    bases += [generators.random_sequential(6, 50, 4, 4, seed=s)
+              for s in range(5)]
+    bases += [random_netlist(s, num_gates=20) for s in range(12)]
+    rng = random.Random(5)
+    for base in bases:
+        nl = base
+        yield f"{base.name}+0", nl
+        for depth in range(1, 4):
+            table = LineTable(nl)
+            nl = nl.copy()
+            line = rng.randrange(len(table))
+            apply_correction(nl, table,
+                             stuck_at_correction(table, line,
+                                                 rng.randrange(2)))
+            yield f"{base.name}+{depth}", nl
+
+
+@pytest.mark.parametrize("deep", [False, True])
+def test_blocked_signals_match_per_signal_oracle(deep):
+    """The constant-seeded blocked set equals the per-signal ODC loop."""
+    nonempty = 0
+    for name, nl in _odc_cases():
+        got = NetlistFacts(nl).blocked_signals(deep=deep)
+        assert got == blocked_signals_oracle(NetlistFacts(nl), deep), name
+        nonempty += bool(got)
+    assert nonempty  # the corrections do create blocked regions
+
+
+def test_blocked_signals_on_cyclic_netlist():
+    """A constant side input blocks a loop it dominates."""
+    nl = Netlist("forced")
+    c0 = nl.add_gate("c0", GateType.CONST0, [])
+    a = nl.add_input("a")
+    g1 = nl.add_gate("g1", GateType.OR, [a, a])
+    g2 = nl.add_gate("g2", GateType.AND, [g1, c0])
+    nl.set_fanin(g1, [g2, a])
+    nl.set_outputs([g2])
+    facts = NetlistFacts(nl)
+    assert facts.blocked_signals() == {a, g1}
+    assert facts.blocked_signals() == blocked_signals_oracle(facts)
 
 
 # ----------------------------------------------------------------------

@@ -70,6 +70,30 @@ def test_corrupted_child_row_detected():
         checker.check_state(child)
 
 
+def test_corrupted_inherited_structure_detected():
+    """A child netlist inherits its parent's structural caches through
+    ``copy()``; a stale or corrupted cache is caught before any value
+    check."""
+    state = make_state()
+    state.netlist.levels()  # materialize, so the child inherits them
+    corr = Correction(state.table.stem(state.netlist.outputs[0]).index,
+                      CorrectionKind.STUCK_AT_0)
+    child_netlist = state.netlist.copy()
+    apply_correction(child_netlist, state.table, corr)
+    child = state.child(child_netlist, corr, corrected_line_words(
+        state.netlist, state.table, corr, state.values))
+    checker = InvariantChecker()
+    checker.check_state(child)
+    child_netlist.levels()[child_netlist.outputs[0]] += 1
+    with pytest.raises(InvariantViolation, match="levels"):
+        checker.check_state(child)
+    child_netlist._levels = None
+    topo = child_netlist.topo_order()
+    topo[0], topo[-1] = topo[-1], topo[0]
+    with pytest.raises(InvariantViolation, match="topological"):
+        checker.check_state(child)
+
+
 def test_theorem1_preconditions():
     checker = InvariantChecker()
     checker.check_theorem1(10, 2)

@@ -1,5 +1,7 @@
 """The line model: stems, branches and the ISCAS line count."""
 
+import pytest
+
 from repro.circuit import GateType, LineKind, LineTable, Netlist
 
 
@@ -39,17 +41,20 @@ def test_branch_lookup_and_describe():
 
 
 def test_only_live_filter():
+    """A detached gate has no line; a dead primary input keeps its stem."""
     nl = Netlist("x")
     a = nl.add_input("a")
+    unused = nl.add_input("unused")
     g = nl.add_gate("g", GateType.BUF, [a])
     orphan = nl.add_gate("orphan", GateType.NOT, [a])
     nl.set_outputs([g])
-    live_table = LineTable(nl, only_live=True)
-    full_table = LineTable(nl, only_live=False)
-    live_names = {line.describe(nl) for line in live_table}
-    full_names = {line.describe(nl) for line in full_table}
-    assert "orphan" not in live_names
-    assert "orphan" in full_names
+    table = LineTable(nl)
+    assert [line.describe(nl) for line in table] == \
+        ["a", "unused", "g", "a->g.0"]
+    assert table.stem(unused).is_stem
+    with pytest.raises(KeyError):
+        table.stem(orphan)
+    assert table.branch(orphan, 0) is None
 
 
 def test_deterministic_order(c17):

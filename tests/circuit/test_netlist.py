@@ -1,5 +1,7 @@
 """Netlist construction, queries and mutation operators."""
 
+import copy
+
 import pytest
 
 from repro.circuit import GateType, Netlist
@@ -115,13 +117,73 @@ def test_cones():
     assert nl.fanin_cone(a) == {a}
 
 
+def _scratch_structure(nl):
+    """Fanouts, event fanouts and levels recomputed from the gates."""
+    scratch = Netlist(nl.name)
+    scratch.gates = [g.copy() for g in nl.gates]
+    scratch.outputs = list(nl.outputs)
+    return scratch.fanouts(), scratch.event_fanouts(), scratch.levels()
+
+
+def _materialized(nl):
+    return (nl.fanouts(), nl.event_fanouts(), nl.topo_order(),
+            nl.topo_positions(), nl.levels())
+
+
+#: One of each stuck-at, insert and rewire mutator, on c17's gates.
+_MUTATORS = {
+    "tie_stem": lambda nl: nl.tie_stem_to_constant(nl.index_of("11"), 0),
+    "tie_branch": lambda nl: nl.tie_branch_to_constant(
+        nl.index_of("16"), 1, 1),
+    "insert_stem": lambda nl: nl.insert_gate_on_stem(
+        nl.index_of("11"), GateType.NOT),
+    "insert_branch": lambda nl: nl.insert_gate_on_branch(
+        nl.index_of("19"), 0, GateType.NOT),
+    "insert_binary": lambda nl: nl.insert_binary_on_stem(
+        nl.index_of("16"), GateType.AND, nl.index_of("1")),
+    "replace_pin": lambda nl: nl.replace_fanin_pin(
+        nl.index_of("10"), 0, nl.index_of("19")),
+    "add_pin": lambda nl: nl.add_fanin_pin(
+        nl.index_of("10"), nl.index_of("16")),
+    "remove_pin": lambda nl: nl.remove_fanin_pin(nl.index_of("23"), 1),
+    "bypass": lambda nl: nl.bypass_gate(nl.index_of("19"), 0),
+}
+
+
 def test_copy_is_independent():
+    """A copy owns its gates and its inherited structural caches: edits
+    to it repair its own caches and never reach the parent's."""
     nl = tiny()
     dup = nl.copy()
     dup.set_gate_type(dup.index_of("g1"), GateType.OR)
     assert nl.gate("g1").gtype is GateType.AND
-    dup.gates[0].fanin.append  # no-op; just ensure lists are distinct
     assert dup.gates[2].fanin is not nl.gates[2].fanin
+
+    from repro.circuit import generators
+    parent = generators.c17()
+    before = copy.deepcopy(_materialized(parent))
+    for name, mutate in _MUTATORS.items():
+        child = parent.copy()
+        mutate(child)
+        assert child.version > 0, name
+        # the parent's caches are untouched and still match its gates
+        after = _materialized(parent)
+        assert after == before, name
+        assert (after[0], after[1], after[4]) == \
+            _scratch_structure(parent), name
+        # the copy's repaired caches hold what a scratch build computes
+        fanouts, events, levels = _scratch_structure(child)
+        assert [sorted(row) for row in child.fanouts()] == fanouts, name
+        assert [sorted(row) for row in child.event_fanouts()] == \
+            [sorted(row) for row in events], name
+        assert child.levels() == levels, name
+        order = child.topo_order()
+        assert sorted(order) == list(range(len(child.gates))), name
+        pos = child.topo_positions()
+        assert all(order[pos[g]] == g for g in range(len(order))), name
+        for gate in child.gates:
+            assert all(pos[src] < pos[gate.index]
+                       for src in gate.fanin), name
 
 
 def test_set_gate_type_checks_arity():
