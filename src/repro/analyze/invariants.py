@@ -100,6 +100,29 @@ class InvariantChecker:
                 "(|Verr|=0); the engine must stop at rectification")
 
     # ------------------------------------------------------------------
+    def check_screen(self, state, screened) -> None:
+        """Every screened correction's outcome, measured in a
+        slot-packed batch, equals a one-row propagate of its line words.
+
+        ``screened`` holds the survivors of
+        :func:`~repro.diagnose.screening.screen_corrections`.
+        """
+        self.checks_run += 1
+        fields = ("rectified_vectors", "broken_vectors", "fixed_pairs",
+                  "fixes_all")
+        for sc in screened:
+            single, = state.outcome_of_override(sc.correction.line,
+                                                sc.new_words)
+            batched = tuple(getattr(sc.outcome, f) for f in fields)
+            expected = tuple(getattr(single, f) for f in fields)
+            if batched != expected:
+                raise InvariantViolation(
+                    f"batched screen of "
+                    f"{sc.correction.describe(state.netlist, state.table)}"
+                    f" gave {dict(zip(fields, batched))}, a one-row "
+                    f"propagate {dict(zip(fields, expected))}")
+
+    # ------------------------------------------------------------------
     def check_lines_live(self, state, line_indices) -> None:
         """Decision-tree candidates only reference lines of the state's
         own table whose drivers are live (or primary inputs)."""

@@ -7,10 +7,9 @@ from .config import (DiagnosisConfig, FLOOR, HLevel, Mode,
                      default_schedule)
 from .pathtrace import (derive_seed, marked_lines, path_trace_counts,
                         path_trace_vector, top_fraction)
-from .potential import (LinePotential, correcting_potential,
-                        correcting_potentials, rank_lines)
-from .screening import (ScreenedCorrection, evaluate_correction,
-                        screen_corrections, screen_verr, theorem1_bound)
+from .potential import LinePotential, correcting_potentials, rank_lines
+from .screening import (ScreenedCorrection, screen_corrections,
+                        screen_verr, theorem1_bound)
 from .candidates import (corrections_for_line, design_error_corrections,
                          stuck_at_corrections)
 from .ranking import rank_corrections, rank_value
@@ -47,10 +46,9 @@ __all__ = [
     "DiagnosisConfig", "FLOOR", "HLevel", "Mode", "default_schedule",
     "derive_seed", "marked_lines", "path_trace_counts",
     "path_trace_vector", "top_fraction",
-    "LinePotential", "correcting_potential", "correcting_potentials",
-    "rank_lines",
-    "ScreenedCorrection", "evaluate_correction", "screen_corrections",
-    "screen_verr", "theorem1_bound",
+    "LinePotential", "correcting_potentials", "rank_lines",
+    "ScreenedCorrection", "screen_corrections", "screen_verr",
+    "theorem1_bound",
     "corrections_for_line", "design_error_corrections",
     "stuck_at_corrections", "enumerate_corrections",
     "rank_corrections", "rank_value",

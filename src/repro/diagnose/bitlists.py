@@ -26,7 +26,7 @@ from ..circuit.netlist import Netlist
 from ..faults.models import Correction
 from ..sim.compare import masked
 from ..sim.logicsim import output_rows, propagate, simulate
-from ..sim.packing import PatternSet, popcount, tail_mask
+from ..sim.packing import PatternSet, popcount, row_popcounts, tail_mask
 
 
 def reference_outputs(netlist: Netlist,
@@ -92,10 +92,7 @@ class DiagnosisState:
         self.corr_mask = self.err_mask ^ full
         self.num_corr = patterns.nbits - self.num_err
         self.num_err_pairs = popcount(self.diff)
-        # One scratch diff matrix reused by every outcome_of_override
-        # call (the heuristic-1/3 sweeps evaluate hundreds of overrides
-        # per tree node; allocating a fresh matrix each time dominated).
-        self._diff_scratch: np.ndarray | None = None
+        self._tail = tail_mask(patterns.nbits)
         # Baseline big-int rows for the event kernel, shared by every
         # propagate call on this state (values never mutates in place).
         self._base_ints: dict[int, int] = {}
@@ -167,31 +164,56 @@ class DiagnosisState:
                          base_ints=self._base_ints)
 
     def outcome_of_override(self, line_index: int,
-                            new_words: np.ndarray) -> "OverrideOutcome":
-        """Propagate an override and summarize its effect on V.
+                            new_words: np.ndarray
+                            ) -> list[OverrideOutcome]:
+        """Propagate candidate line values and summarize each one's
+        effect on V.
 
-        Reuses one per-state scratch diff matrix across calls, so a
-        whole suspect-scoring sweep performs no per-candidate
-        allocations beyond the propagate result itself.
+        ``new_words`` is a ``(k, nwords)`` stack with one candidate
+        value of the line per slot, or a single ``(nwords,)`` row (one
+        slot).  All k overrides share one slot-packed propagate through
+        the line's fanout cone.  Returns one :class:`OverrideOutcome` per
+        slot, in slot order.
         """
+        if new_words.ndim == 2 and len(new_words) == 1:
+            new_words = new_words[0]
         changed = self.propagate_line_override(line_index, new_words)
-        nbits = self.patterns.nbits
-        if self._diff_scratch is None:
-            self._diff_scratch = np.empty_like(self.diff)
-        diff_after = self._diff_scratch
-        np.copyto(diff_after, self.diff)
+        if new_words.ndim == 1:
+            # One slot: the 2-D summary, which is measurably cheaper
+            # than a 3-D one with a unit axis on every per-leaf call.
+            diff_after = self._diff_after(changed, self.diff.copy())
+            err_after = np.bitwise_or.reduce(diff_after, axis=0)
+            return [OverrideOutcome(popcount(self.err_mask & ~err_after),
+                                    popcount(self.corr_mask & err_after),
+                                    popcount(self.diff & ~diff_after),
+                                    not err_after.any())]
+        # k slots: (output, slot, word) rows, so each output's propagated
+        # (k, nwords) row block lands in place with one XOR.
+        slots = len(new_words)
+        stacked = np.empty((len(self.diff), slots, self.diff.shape[1]),
+                           dtype=self.diff.dtype)
+        stacked[:] = self.diff[:, None, :]
+        diff_after = self._diff_after(changed, stacked)
+        err_after = np.bitwise_or.reduce(diff_after, axis=0)
+        fixed = (self.diff[:, None, :] & ~diff_after).swapaxes(0, 1)
+        rectified = row_popcounts(self.err_mask & ~err_after).tolist()
+        broken = row_popcounts(self.corr_mask & err_after).tolist()
+        fixed_pairs = row_popcounts(fixed.reshape(slots, -1)).tolist()
+        dirty = err_after.any(axis=1).tolist()
+        return [OverrideOutcome(r, b, f, not d) for r, b, f, d
+                in zip(rectified, broken, fixed_pairs, dirty)]
+
+    def _diff_after(self, changed: dict, diff_after: np.ndarray
+                    ) -> np.ndarray:
+        """Overwrite, in ``diff_after`` (indexed by output position
+        first, holding this state's ``diff``), the mismatch rows of every
+        primary output the propagate result ``changed`` touches."""
         for pos, po in enumerate(self.netlist.outputs):
             row = changed.get(po)
             if row is not None:
-                np.bitwise_xor(row, self.spec_out[pos],
-                               out=diff_after[pos])
-        diff_after[..., -1] &= tail_mask(nbits)
-        err_after = np.bitwise_or.reduce(diff_after, axis=0)
-        rectified_vecs = popcount(self.err_mask & ~err_after)
-        broken_vecs = popcount(self.corr_mask & err_after)
-        fixed_pairs = popcount(self.diff & ~diff_after)
-        return OverrideOutcome(rectified_vecs, broken_vecs, fixed_pairs,
-                               popcount(err_after) == 0)
+                np.bitwise_xor(row, self.spec_out[pos], out=diff_after[pos])
+        diff_after[..., -1] &= self._tail
+        return diff_after
 
 
 class OverrideOutcome:

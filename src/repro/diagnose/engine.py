@@ -249,7 +249,7 @@ def screen_and_rank(state: DiagnosisState, lines: list,
     head_n = min(len(screened), config.corrections_per_node)
     scored_head = []
     for complemented, corr in screened[:head_n]:
-        outcome = state.outcome_of_override(
+        outcome, = state.outcome_of_override(
             corr.line, predicted_words(state, corr))
         err_after = state.num_err - outcome.rectified_vectors \
             + outcome.broken_vectors
@@ -339,7 +339,7 @@ class _ExactSearch:
             leaf_fails = (len(applied) + 1 == self.target
                           and not state.outcome_of_override(
                               corr.line, predicted_words(state, corr)
-                          ).fixes_all)
+                          )[0].fixes_all)
             child_state = (None if leaf_fails
                            else fast_stuck_at_child(state, corr))
             self.stats.apply_time += clock.now() - t0

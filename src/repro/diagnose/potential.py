@@ -30,31 +30,15 @@ class LinePotential:
         return self.score >= h1
 
 
-def correcting_potential(state: DiagnosisState,
-                         line_index: int) -> LinePotential:
-    """Evaluate heuristic 1 for one line.
+def correcting_potentials(state: DiagnosisState,
+                          candidates) -> list[LinePotential]:
+    """Heuristic 1 for each line of ``candidates``, in order.
 
     Only the failing-vector bits are inverted (that is exactly the
     ``Verr`` bit-list); passing vectors are untouched, so the measured
-    effect is purely "how many failures could *any* modification of this
-    line possibly repair".
-    """
-    flipped = state.line_values(line_index) ^ state.err_mask
-    outcome = state.outcome_of_override(line_index, flipped)
-    denom = state.num_err_pairs if state.num_err_pairs else 1
-    return LinePotential(line_index, outcome.fixed_pairs,
-                         outcome.rectified_vectors,
-                         outcome.fixed_pairs / denom)
-
-
-def correcting_potentials(state: DiagnosisState,
-                          candidates) -> list[LinePotential]:
-    """Batched heuristic-1 sweep over ``candidates``.
-
-    The whole sweep shares the state's flip buffer and scratch diff
-    matrix: each suspect costs one event-driven ``propagate`` over its
-    cone plus a handful of in-place word operations — no per-suspect
-    matrix allocations.
+    effect is purely "how many failures could *any* modification of
+    this line possibly repair".  Each suspect costs one event-driven
+    ``propagate`` over its cone; the flip buffer is shared.
     """
     denom = state.num_err_pairs if state.num_err_pairs else 1
     err_mask = state.err_mask
@@ -62,7 +46,7 @@ def correcting_potentials(state: DiagnosisState,
     out: list[LinePotential] = []
     for line in candidates:
         np.bitwise_xor(state.line_values(line), err_mask, out=flip)
-        outcome = state.outcome_of_override(line, flip)
+        outcome, = state.outcome_of_override(line, flip)
         out.append(LinePotential(line, outcome.fixed_pairs,
                                  outcome.rectified_vectors,
                                  outcome.fixed_pairs / denom))

@@ -16,21 +16,25 @@ threshold) with "a single simulation step on the gate driving l".
 small number of new paths to previously correct primary outputs" — but
 not zero, because partially-corrected designs can legitimately get worse
 before they get better (the paper's Fig. 1 reconvergence example).
-:func:`evaluate_correction` measures the actual effect by bit-parallel
+:func:`screen_corrections` measures the actual effect by bit-parallel
 propagation over the ``Vcorr`` bit-lists and rejects corrections whose
-kept-correct fraction falls below ``h3``.
+kept-correct fraction falls below ``h3``.  Bits are vector-parallel as
+in the paper, and the corrections on one suspect line are
+candidate-parallel too: they share one slot-packed propagate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
 from ..errors import InjectionError
 from ..faults.models import Correction, corrected_line_words
-from ..sim.packing import popcount
+from ..sim.packing import popcount, row_popcounts
 from .bitlists import DiagnosisState, OverrideOutcome
 
 
@@ -142,45 +146,60 @@ def screen_verr(state: DiagnosisState, corr: Correction,
     return complemented
 
 
-def evaluate_correction(state: DiagnosisState, corr: Correction,
-                        required_bits: int,
-                        h3: float) -> ScreenedCorrection | None:
-    """Full screen: heuristic 2, then propagate and apply heuristic 3.
-
-    Returns None when the correction is screened out.  ``h3 <= 0``
-    disables the heuristic-3 screen (exact mode uses this so no valid
-    tuple is pruned).
-    """
-    new_words = predicted_words(state, corr)
-    if new_words is None:
-        return None
-    complemented = screen_verr(state, corr, required_bits, new_words)
-    if complemented is None:
-        return None
-    outcome = state.outcome_of_override(corr.line, new_words)
-    h1_score = outcome.h1_score(state)
-    h3_score = outcome.h3_score(state)
-    if h3 > 0 and h3_score < h3:
-        return None
-    return ScreenedCorrection(corr, new_words, complemented, outcome,
-                              h1_score, h3_score)
-
-
 def screen_corrections(state: DiagnosisState, corrections,
                        required_bits: int,
                        h3: float) -> list[ScreenedCorrection]:
-    """Batched screen of many candidate corrections on one state.
+    """Heuristics 2 and 3 over many corrections, one propagate per line.
 
-    The whole sweep runs on the state's shared scratch diff matrix (see
-    :meth:`DiagnosisState.outcome_of_override`), so screening a node's
-    full correction vocabulary — typically hundreds of candidates —
-    allocates nothing per candidate beyond each survivor's predicted
-    line words.  Rejected corrections simply do not appear in the
-    result; order is preserved otherwise.
+    Every correction on one line overrides the same stem or ``(sink,
+    pin)``, so all of them travel the same fanout cone.  Each run of
+    consecutive corrections on one line is screened as a batch:
+
+    1. the predicted line words are stacked, and every heuristic-2
+       count (``Verr`` bits complemented) comes from one row popcount;
+       counts below ``max(required_bits, 1)`` are rejected, which also
+       drops no-ops;
+    2. the survivors share one slot-packed propagate
+       (:meth:`DiagnosisState.outcome_of_override`), which gives each
+       one's rectified, broken and fixed-pair counts;
+    3. heuristic 3 rejects survivors whose kept-correct fraction falls
+       below ``h3``; ``h3 <= 0`` disables it (exact mode uses this so no
+       valid tuple is pruned).
+
+    Structurally impossible corrections are dropped.  Survivors keep
+    their input order.
     """
     survivors: list[ScreenedCorrection] = []
+    for line, run in groupby(corrections, key=attrgetter("line")):
+        survivors.extend(_screen_line(state, line, run, required_bits, h3))
+    return survivors
+
+
+def _screen_line(state: DiagnosisState, line: int, corrections,
+                 required_bits: int, h3: float) -> list[ScreenedCorrection]:
+    """:func:`screen_corrections` for corrections all on ``line``."""
+    predicted = []
     for corr in corrections:
-        sc = evaluate_correction(state, corr, required_bits, h3)
-        if sc is not None:
-            survivors.append(sc)
+        words = predicted_words(state, corr)
+        if words is not None:
+            predicted.append((corr, words))
+    if not predicted:
+        return []
+    stack = np.stack([words for _corr, words in predicted])
+    flips = row_popcounts((stack ^ state.line_values(line))
+                          & state.err_mask).tolist()
+    need = max(required_bits, 1)
+    keep = [i for i, count in enumerate(flips) if count >= need]
+    if not keep:
+        return []
+    outcomes = state.outcome_of_override(line, stack[keep])
+    survivors = []
+    for i, outcome in zip(keep, outcomes):
+        h3_score = outcome.h3_score(state)
+        if h3 > 0 and h3_score < h3:
+            continue
+        corr, words = predicted[i]
+        survivors.append(ScreenedCorrection(
+            corr, words, flips[i], outcome, outcome.h1_score(state),
+            h3_score))
     return survivors

@@ -143,9 +143,12 @@ class DecisionTree:
         required = max(1, int(self.h.h2 * state.num_err))
         screened: list[ScreenedCorrection] = []
         for pot in potentials:
-            screened.extend(screen_corrections(
+            survivors = screen_corrections(
                 state, corrections_for_line(state, pot.line, config),
-                required, self.h.h3))
+                required, self.h.h3)
+            if self.invariants:
+                self.invariants.check_screen(state, survivors)
+            screened.extend(survivors)
         ranked = rank_corrections(state, screened)
         node.pending = [sc for _rank, sc in
                         ranked[: config.corrections_per_node]]

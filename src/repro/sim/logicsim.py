@@ -9,8 +9,11 @@ entry points:
   set of overridden signals/pins, returning only the changed rows.  This
   is the workhorse behind the paper's heuristic 1 (invert a suspect
   line's failing values and push the difference to the outputs) and
-  heuristic 3 (push a candidate correction's effect across the passing
-  vectors).
+  heuristic 3 (push candidate corrections' effects across the passing
+  vectors).  Overrides may carry k slots — one per candidate — so that
+  every correction on one suspect line shares a single sweep of its
+  fanout cone: candidate parallelism on top of the 64-way vector
+  parallelism, as in parallel-fault simulation.
 
 :func:`propagate` is an *event-driven* kernel: a worklist seeded from
 the overridden stems/pins is drained level by level (every fanin sits on
@@ -68,10 +71,11 @@ _INT_OP = {
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
-def _row_to_int(row: np.ndarray) -> int:
-    """Packed uint64 row -> one big-int (bit *i* of the stream = bit *i*)."""
+def _row_to_int(row: np.ndarray, copies: int = 1) -> int:
+    """Packed uint64 row(s) -> one big-int (bit *i* of the stream = bit
+    *i*), with the whole stream repeated ``copies`` times end to end."""
     data = row if _LITTLE_ENDIAN else row.byteswap()
-    return int.from_bytes(data.tobytes(), "little")
+    return int.from_bytes(data.tobytes() * copies, "little")
 
 
 def _sim_tables(netlist: Netlist) -> tuple[list, list]:
@@ -137,7 +141,6 @@ def output_rows(netlist: Netlist, values: np.ndarray) -> np.ndarray:
 def propagate(netlist: Netlist, values: np.ndarray,
               stem_overrides: Mapping[int, np.ndarray] | None = None,
               pin_overrides: Mapping[tuple, np.ndarray] | None = None,
-              cone: set | None = None,
               base_ints: dict | None = None) -> dict:
     """Re-simulate the fanout cone of the overridden signals.
 
@@ -147,26 +150,32 @@ def propagate(netlist: Netlist, values: np.ndarray,
     are evaluated as Python big-ints inside the kernel (see module
     docstring); only touched rows are converted.
 
+    **Slot packing.**  Overrides may be ``(k, nwords)`` stacks instead
+    of single rows: slot *s* of every override is one independent
+    hypothesis, and the k hypotheses share one sweep.  Each big-int row
+    then holds the k slots side by side (slot *s* at bit offset
+    ``64 * nwords * s``); baseline rows are replicated k times.  A gate
+    is scheduled when *any* slot changes it, so slots equal to the
+    baseline ride along for free.  Every override must have the same
+    shape.
+
     Args:
         values: baseline value matrix from :func:`simulate` (not modified).
         stem_overrides: {signal: packed words} forced for all consumers.
         pin_overrides: {(sink_gate, pin): packed words} forced for one pin.
-        cone: optional gate-index set restricting which gates may be
-            re-evaluated.  The event kernel derives the frontier itself,
-            so passing the full fanout cone (what every caller used to
-            do) is never needed; the parameter is honoured as a filter
-            for callers that deliberately restrict propagation.
         base_ints: optional {gate: big-int row} cache of *baseline*
             conversions, owned by the caller and reused across calls that
             share one ``values`` matrix (a suspect sweep converts the
             same rows hundreds of times otherwise).  Must be dropped when
             ``values`` changes; :class:`Simulator` and
-            ``DiagnosisState`` each hold one per value matrix.
+            ``DiagnosisState`` each hold one per value matrix.  Only
+            single-row calls use it.
 
     Returns:
         {gate_index: new packed words} for every gate whose value differs
-        from the baseline, **plus** all overridden stems (even when equal).
-        Look up a gate first in this dict, then in ``values``.
+        from the baseline in at least one slot, **plus** all overridden
+        stems (even when equal); rows have the overrides' shape.  Look
+        up a gate first in this dict, then in ``values``.
     """
     stem_overrides = dict(stem_overrides or {})
     pin_overrides = dict(pin_overrides or {})
@@ -177,8 +186,14 @@ def propagate(netlist: Netlist, values: np.ndarray,
     levels = netlist.levels()
     ops, fanins = _sim_tables(netlist)
     nwords = values.shape[1]
-    ones = (1 << (64 * nwords)) - 1
-    base = base_ints if base_ints is not None else {}
+    shape = next(iter((stem_overrides or pin_overrides).values())).shape
+    slots = 1 if len(shape) == 1 else shape[0]
+    for words in (*stem_overrides.values(), *pin_overrides.values()):
+        if words.shape != shape:
+            raise SimulationError(
+                f"override shapes differ: {words.shape} vs {shape}")
+    ones = (1 << (64 * nwords * slots)) - 1
+    base = base_ints if base_ints is not None and slots == 1 else {}
     base_get = base.get
     cur: dict[int, int] = {}      # overridden/changed rows, as ints
     cur_get = cur.get
@@ -189,8 +204,6 @@ def propagate(netlist: Netlist, values: np.ndarray,
 
     def schedule(idx: int) -> None:
         if idx in scheduled:
-            return
-        if cone is not None and idx not in cone:
             return
         scheduled.add(idx)
         lev = levels[idx]
@@ -205,7 +218,7 @@ def propagate(netlist: Netlist, values: np.ndarray,
         cur[sig] = forced
         b = base_get(sig)
         if b is None:
-            base[sig] = b = _row_to_int(values[sig])
+            base[sig] = b = _row_to_int(values[sig], slots)
         if forced == b:
             continue  # no event: downstream cannot change
         for sink in efanouts[sig]:
@@ -234,7 +247,8 @@ def propagate(netlist: Netlist, values: np.ndarray,
                     if val is None:
                         val = base_get(src)
                         if val is None:
-                            base[src] = val = _row_to_int(values[src])
+                            base[src] = val = _row_to_int(values[src],
+                                                          slots)
                 if acc is None:
                     acc = val
                 elif op == 0:
@@ -247,7 +261,7 @@ def propagate(netlist: Netlist, values: np.ndarray,
                 acc ^= ones
             b = base_get(idx)
             if b is None:
-                base[idx] = b = _row_to_int(values[idx])
+                base[idx] = b = _row_to_int(values[idx], slots)
             if acc == b:
                 continue  # event dies here; fanouts never scheduled by us
             cur[idx] = acc
@@ -258,11 +272,11 @@ def propagate(netlist: Netlist, values: np.ndarray,
     if diff:
         # One buffer + one frombuffer for all changed rows (the returned
         # rows are views into it), instead of a numpy call per row.
-        nbytes = nwords * 8
+        nbytes = nwords * slots * 8
         buf = b"".join(cur[idx].to_bytes(nbytes, "little")
                        for idx in diff)
         rows = np.frombuffer(bytearray(buf), dtype=np.uint64)
-        rows = rows.reshape(len(diff), nwords)
+        rows = rows.reshape((len(diff),) + shape)
         if not _LITTLE_ENDIAN:
             rows = rows.byteswap()
         for i, idx in enumerate(diff):

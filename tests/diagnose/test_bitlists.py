@@ -61,7 +61,7 @@ def test_outcome_of_override_matches_structural_fix(c17):
     # true values of the faulted signal
     correct_words = state.values[state.netlist.index_of(driver_name)]
     line = state.table.stem(const.index)
-    outcome = state.outcome_of_override(line.index, correct_words)
+    outcome, = state.outcome_of_override(line.index, correct_words)
     assert outcome.fixes_all
     assert outcome.rectified_vectors == state.num_err
     assert outcome.broken_vectors == 0
@@ -73,7 +73,7 @@ def test_outcome_scores_degenerate_cases(c17):
     state, _, _ = make_state(c17, seed=5)
     # overriding with identical values changes nothing
     line = state.table[0]
-    outcome = state.outcome_of_override(0, state.values[line.driver])
+    outcome, = state.outcome_of_override(0, state.values[line.driver])
     assert outcome.rectified_vectors == 0
     assert outcome.broken_vectors == 0
     assert not outcome.fixes_all or state.num_err == 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuit import GateType, LineTable, Netlist, generators
 from repro.diagnose import (DiagnosisState, corrections_for_line,
-                            design_error_corrections,
+                            design_error_corrections, screen_corrections,
                             stuck_at_corrections)
 from repro.diagnose.candidates import scored_wire_sources
 from repro.diagnose.config import DiagnosisConfig, Mode
@@ -125,9 +125,8 @@ def test_wire_sources_find_detached_gate():
            if c.kind is CorrectionKind.ADD_INPUT_WIRE
            and c.other_signal == u and c.new_type is GateType.OR]
     assert fix
-    from repro.diagnose import evaluate_correction
-    sc = evaluate_correction(state, fix[0], 1, h3=0.0)
-    assert sc is not None and sc.fixes_all
+    sc, = screen_corrections(state, fix[:1], 1, h3=0.0)
+    assert sc.fixes_all
 
 
 def test_scored_sources_ranked_by_benefit(c17):

@@ -40,7 +40,7 @@ def reference_screen_and_rank(state, lines, remaining, config):
     head_n = min(len(screened), config.corrections_per_node)
     scored_head = []
     for complemented, corr in screened[:head_n]:
-        outcome = state.outcome_of_override(
+        outcome, = state.outcome_of_override(
             corr.line, predicted_words(state, corr))
         err_after = (state.num_err - outcome.rectified_vectors
                      + outcome.broken_vectors)
@@ -133,7 +133,7 @@ def test_leaf_rule_matches_the_built_child():
                 for line in range(len(state.table)):
                     entry = state.table[line]
                     for corr in stuck_at_corrections(line):
-                        outcome = state.outcome_of_override(
+                        outcome, = state.outcome_of_override(
                             line, predicted_words(state, corr))
                         child = fast_stuck_at_child(state, corr)
                         assert outcome.fixes_all == child.rectified, (

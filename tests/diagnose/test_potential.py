@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit import generators
-from repro.diagnose import (DiagnosisState, correcting_potential,
+from repro.diagnose import (DiagnosisState, correcting_potentials,
                             rank_lines)
 from repro.faults import inject_stuck_at_faults
 from repro.sim import PatternSet, output_rows, simulate
@@ -28,7 +28,7 @@ def test_single_fault_line_has_full_potential(c17):
     fault exactly, so its potential is maximal (score 1.0)."""
     state, workload = state_for(c17, 1, seed=3)
     line = truth_line(state, c17, workload)
-    pot = correcting_potential(state, line)
+    pot, = correcting_potentials(state, [line])
     assert pot.score == 1.0
     assert pot.rectified_vectors == state.num_err
 
@@ -40,8 +40,8 @@ def test_potential_score_bounds(seed):
     state, _ = state_for(spec, 2, seed=seed)
     if state.num_err == 0:
         return
-    for line in list(range(len(state.table)))[::5]:
-        pot = correcting_potential(state, line)
+    for pot in correcting_potentials(state,
+                                     list(range(len(state.table)))[::5]):
         assert 0.0 <= pot.score <= 1.0
         assert 0 <= pot.fixed_pairs <= state.num_err_pairs
 

@@ -1,8 +1,7 @@
 """The §3.3 ranking formula."""
 
-from repro.diagnose import (DiagnosisState, evaluate_correction,
-                            rank_corrections, rank_value,
-                            stuck_at_corrections)
+from repro.diagnose import (DiagnosisState, rank_corrections, rank_value,
+                            screen_corrections, stuck_at_corrections)
 from repro.faults import inject_stuck_at_faults
 from repro.sim import PatternSet, output_rows, simulate
 
@@ -29,10 +28,8 @@ def test_rank_corrections_sorted_and_true_fix_on_top(c17):
     state = DiagnosisState(c17, patterns, device_out)
     screened = []
     for line in range(len(state.table)):
-        for corr in stuck_at_corrections(line):
-            sc = evaluate_correction(state, corr, 1, h3=0.0)
-            if sc is not None:
-                screened.append(sc)
+        screened += screen_corrections(state, stuck_at_corrections(line),
+                                       1, h3=0.0)
     ranked = rank_corrections(state, screened)
     values = [v for v, _ in ranked]
     assert values == sorted(values, reverse=True)

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit import GateType, Netlist, generators
-from repro.diagnose import (DiagnosisState, evaluate_correction,
+from repro.diagnose import (DiagnosisState, screen_corrections,
                             screen_verr, theorem1_bound)
 from repro.faults import inject_stuck_at_faults
 from repro.faults.models import Correction, CorrectionKind
 from repro.sim import PatternSet, output_rows, simulate
+from tests.diagnose.screening_oracle import evaluate_correction
 
 
 def test_theorem1_bound_values():
@@ -140,9 +141,8 @@ def test_fig1_scenario():
     l1_line = state.table.stem(impl.index_of("l1")).index
     fix1 = Correction(l1_line, CorrectionKind.GATE_REPLACE,
                       new_type=GateType.AND)
-    sc = evaluate_correction(state, fix1, 1, h3=0.0)
-    assert sc is not None
+    sc, = screen_corrections(state, [fix1], 1, h3=0.0)
     assert sc.outcome.broken_vectors > 0      # Fig. 1's phenomenon
     assert sc.h3_score < 1.0
     # and with an intolerant h3 the valid fix would be lost:
-    assert evaluate_correction(state, fix1, 1, h3=1.0) is None
+    assert screen_corrections(state, [fix1], 1, h3=1.0) == []

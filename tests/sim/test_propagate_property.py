@@ -8,7 +8,9 @@ two independent references on randomized netlists and overrides:
 * :func:`repro.sim.propagate_scan`, the retained pre-event kernel.
 
 Pattern counts deliberately straddle the 64-bit word boundary
-(1, 63, 64, 65, 1000) so tail-padding handling is exercised.
+(1, 63, 64, 65, 1000) so tail-padding handling is exercised.  The
+slot-packed form (k override rows per site, one sweep) is checked slot
+by slot against one-row propagates.
 """
 
 import random
@@ -18,7 +20,9 @@ import pytest
 
 from repro.circuit import GateType, generators
 from repro.circuit.gatetypes import eval_words
-from repro.sim import PatternSet, propagate, propagate_scan, simulate
+from repro.errors import SimulationError
+from repro.sim import (PatternSet, lookup, propagate, propagate_scan,
+                       simulate)
 
 _PASSIVE = (GateType.INPUT, GateType.DFF, GateType.CONST0,
             GateType.CONST1)
@@ -142,18 +146,98 @@ def test_events_do_not_cross_dffs():
     assert not (set(event) & dffs)
 
 
-def test_cone_filter_restricts_propagation():
-    circuit = generators.random_dag(5, 60, 4, seed=11)
-    patterns = PatternSet.random(5, 128, seed=11)
+def single_slot_results(circuit, values, stems, pins, slots):
+    """One one-row propagate per slot of k-slot override stacks."""
+    return [propagate(circuit, values,
+                      stem_overrides={sig: rows[s]
+                                      for sig, rows in stems.items()},
+                      pin_overrides={key: rows[s]
+                                     for key, rows in pins.items()})
+            for s in range(slots)]
+
+
+def assert_slots_match(circuit, values, packed, singles):
+    """Slot *s* of the packed result reads, for every gate, exactly what
+    the one-row propagate of slot *s* reads."""
+    slots = len(singles)
+    for single in singles:
+        assert set(single) <= set(packed)  # incl. unchanged stems
+    for idx, rows in packed.items():
+        assert rows.shape == (slots, values.shape[1]), idx
+    for idx in range(len(circuit.gates)):
+        for s, single in enumerate(singles):
+            got = packed[idx][s] if idx in packed else values[idx]
+            assert np.array_equal(got, lookup(single, values, idx)), \
+                (idx, s)
+
+
+def slot_stack(rng, values, sig, slots):
+    """k random rows for ``sig``; every third slot keeps the baseline."""
+    nwords = values.shape[1]
+    return np.stack([values[sig] if s % 3 == 1 else random_row(rng, nwords)
+                     for s in range(slots)])
+
+
+@pytest.mark.parametrize("nbits", NBITS_CASES)
+@pytest.mark.parametrize("slots", (1, 2, 7))
+@pytest.mark.parametrize("kind", ("stem", "pin", "mixed"))
+def test_packed_slots_match_one_row_propagates(kind, slots, nbits):
+    circuit = generators.random_dag(6, 80, 6, seed=slots)
+    patterns = PatternSet.random(6, nbits, seed=slots)
+    values = simulate(circuit, patterns)
+    rng = random.Random(1000 * slots + nbits)
+    with_fanin = [g.index for g in circuit.gates if g.fanin]
+    for _trial in range(3):
+        stems, pins = {}, {}
+        if kind != "pin":
+            sig = rng.randrange(len(circuit.gates))
+            stems[sig] = slot_stack(rng, values, sig, slots)
+        if kind != "stem":
+            sink = rng.choice(with_fanin)
+            pin = rng.randrange(len(circuit.gates[sink].fanin))
+            src = circuit.gates[sink].fanin[pin]
+            pins[(sink, pin)] = slot_stack(rng, values, src, slots)
+        packed = propagate(circuit, values, stem_overrides=stems,
+                           pin_overrides=pins)
+        singles = single_slot_results(circuit, values, stems, pins, slots)
+        assert_slots_match(circuit, values, packed, singles)
+
+
+@pytest.mark.parametrize("slots", (1, 2, 7))
+def test_packed_pin_override_into_dff_is_inert(slots):
+    circuit = generators.random_sequential(6, 60, 5, 4, seed=5)
+    patterns = PatternSet.random(6, 100, seed=5)
+    values = simulate(circuit, patterns)
+    rng = random.Random(slots)
+    ff = circuit.dffs()[0]
+    sig = circuit.gates[ff].fanin[0]
+    pins = {(ff, 0): slot_stack(rng, values, sig, slots)}
+    stems = {sig: slot_stack(rng, values, sig, slots)}
+    assert propagate(circuit, values, pin_overrides=pins) == {}
+    packed = propagate(circuit, values, stem_overrides=stems,
+                       pin_overrides=pins)
+    singles = single_slot_results(circuit, values, stems, pins, slots)
+    assert_slots_match(circuit, values, packed, singles)
+    assert ff not in packed
+
+
+def test_all_baseline_slots_seed_no_events():
+    circuit = generators.random_dag(5, 50, 4, seed=9)
+    patterns = PatternSet.random(5, 65, seed=9)
     values = simulate(circuit, patterns)
     sig = circuit.inputs[0]
-    forced = values[sig] ^ np.uint64(0xFFFFFFFFFFFFFFFF)
-    unrestricted = propagate(circuit, values,
-                             stem_overrides={sig: forced})
-    full_cone = circuit.fanout_cone(sig)
-    same = propagate(circuit, values, stem_overrides={sig: forced},
-                     cone=full_cone)
-    assert_same_changes(same, unrestricted)
-    empty = propagate(circuit, values, stem_overrides={sig: forced},
-                      cone=set())
-    assert set(empty) == {sig}
+    same = np.stack([values[sig]] * 4)
+    changed = propagate(circuit, values, stem_overrides={sig: same})
+    assert set(changed) == {sig}
+    assert np.array_equal(changed[sig], same)
+
+
+def test_override_shapes_must_agree():
+    circuit = generators.random_dag(5, 50, 4, seed=9)
+    patterns = PatternSet.random(5, 65, seed=9)
+    values = simulate(circuit, patterns)
+    a, b = circuit.inputs[:2]
+    with pytest.raises(SimulationError):
+        propagate(circuit, values,
+                  stem_overrides={a: np.stack([values[a]] * 2),
+                                  b: values[b]})
