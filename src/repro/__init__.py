@@ -28,8 +28,8 @@ from .circuit import (GateType, Gate, Netlist, Line, LineKind, LineTable,
                       full_scan, generators, optimize_area, validate)
 from .analyze import (Diagnostic, InvariantChecker, LintReport, Severity,
                       lint_netlist, set_load_lint_policy)
-from .sim import (FaultSimulator, PatternSet, SimFault, Simulator,
-                  all_faults, popcount, simulate, output_rows)
+from .sim import (FaultSimulator, PatternSet, SimFault, all_faults,
+                  popcount, simulate, output_rows)
 from .faults import (Correction, CorrectionKind, ErrorType, StuckAtFault,
                      Workload, apply_correction, collapsed_faults,
                      inject_design_errors, inject_stuck_at_faults,
@@ -53,7 +53,7 @@ __all__ = [
     "generators", "optimize_area", "validate",
     "Diagnostic", "InvariantChecker", "LintReport", "Severity",
     "lint_netlist", "set_load_lint_policy",
-    "FaultSimulator", "PatternSet", "SimFault", "Simulator", "all_faults",
+    "FaultSimulator", "PatternSet", "SimFault", "all_faults",
     "popcount", "simulate", "output_rows",
     "Correction", "CorrectionKind", "ErrorType", "StuckAtFault",
     "Workload", "apply_correction", "collapsed_faults",

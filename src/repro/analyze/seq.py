@@ -52,9 +52,10 @@ gap with two cooperating engines:
 Consumers: the ``seq`` lint group (:mod:`repro.analyze.rules_seq`), the
 sequential diagnosis pre-screen (:func:`seq_masked_signals`, driven by
 ``DiagnosisConfig(seq_prescreen=True)``), the ``repro facts --seq``
-digest and ``benchmarks/bench_seq.py``.  Instances are cached on
-:class:`~repro.analyze.dataflow.NetlistFacts` (``reset_fixpoint`` /
-``seq_prover``) and dropped by :meth:`Netlist._dirty`.
+digest and the ``seq`` suite of ``benchmarks/harness.py``.  Instances
+are cached on :class:`~repro.analyze.dataflow.NetlistFacts`
+(``reset_fixpoint`` / ``seq_prover``) and dropped by
+:meth:`Netlist._dirty`.
 """
 
 from __future__ import annotations

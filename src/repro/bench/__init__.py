@@ -8,12 +8,8 @@ from .table2 import Table2Cell, Table2Row, run_table2
 from .ablation import AblationResult, format_ablation, run_ablation
 from .tables import format_table1, format_table2
 from .compare import CompareCell, CompareRow, format_compare, run_compare
-from .simbench import (format_records, run_suites, speedups,
-                       validate_file, validate_payload)
 
 __all__ = [
-    "format_records", "run_suites", "speedups",
-    "validate_file", "validate_payload",
     "PreparedCircuit", "design_error_instance", "prepare_design_error",
     "prepare_stuck_at", "stuck_at_instance",
     "Table1Cell", "Table1Row", "run_table1",

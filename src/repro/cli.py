@@ -7,7 +7,6 @@ Subcommands::
     repro ablation [--errors K] ...
     repro diagnose SPEC.bench IMPL.bench [--mode stuck-at|design-error]
                    [--jobs N] [--worker-budget N] [--format json]
-    repro bench [--smoke] [--out BENCH_sim.json] [--check FILE]
     repro lint FILE [FILE...] [--format json] [--strict] [--deep]
                [--prove] [--seq] ...
     repro facts FILE [FILE...] [--format json] [--no-deep] [--seq]
@@ -450,37 +449,6 @@ def cmd_tgen(args) -> int:
     return worst
 
 
-def cmd_bench(args) -> int:
-    """Simulation-kernel benchmarks -> BENCH_sim.json.
-
-    Exit codes: 0 ok, 2 schema violation (timings never fail the run).
-    """
-    from .bench import simbench
-
-    if args.check:
-        errors = simbench.validate_file(args.check)
-        for err in errors:
-            print(f"schema: {err}", file=sys.stderr)
-        print(f"{args.check}: " + ("INVALID" if errors else "ok"))
-        return 2 if errors else 0
-    payload = simbench.run_suites(smoke=args.smoke,
-                                  repeats=args.repeats, seed=args.seed)
-    errors = simbench.validate_payload(payload)
-    if errors:
-        for err in errors:
-            print(f"schema: {err}", file=sys.stderr)
-        return 2
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(simbench.format_records(payload["records"]))
-    for name, ratio in sorted(
-            payload["summary"]["micro_speedup_scan_over_event"].items()):
-        print(f"speedup {name}: event kernel {ratio:.1f}x over scan")
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _progress(name, k, trial, result) -> None:
     print(f"  [{name} k={k} trial={trial}] "
           f"{len(result.solutions)} solution(s), "
@@ -668,20 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip reverse-order fault-simulation "
                         "compaction of the vector set")
     p.set_defaults(func=cmd_tgen)
-
-    p = sub.add_parser("bench",
-                       help="simulation-kernel benchmarks "
-                            "(BENCH_sim.json)")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny budgets for CI (schema still enforced)")
-    p.add_argument("--out", default="BENCH_sim.json",
-                   help="output JSON path (default BENCH_sim.json)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timing repeats, best-of (default 3)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--check", metavar="FILE", default="",
-                   help="validate an existing BENCH_sim.json and exit")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("inject", help="corrupt a netlist")
     p.add_argument("spec")

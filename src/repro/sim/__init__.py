@@ -2,8 +2,7 @@
 
 from .packing import (PatternSet, WORD_BITS, bit_indices, num_words,
                       pack_bits, popcount, tail_mask, unpack_bits)
-from .logicsim import (Simulator, lookup, output_rows, propagate,
-                       propagate_scan, simulate)
+from .logicsim import lookup, output_rows, propagate, simulate
 from .compare import (count_failing, diff_rows, equivalent,
                       failing_vector_mask, masked)
 from .faultsim import FaultSimulator, SimFault, all_faults
@@ -14,8 +13,7 @@ from .vcd import write_vcd
 __all__ = [
     "PatternSet", "WORD_BITS", "bit_indices", "num_words", "pack_bits",
     "popcount", "tail_mask", "unpack_bits",
-    "Simulator", "lookup", "output_rows", "propagate", "propagate_scan",
-    "simulate",
+    "lookup", "output_rows", "propagate", "simulate",
     "count_failing", "diff_rows", "equivalent", "failing_vector_mask",
     "masked",
     "FaultSimulator", "SimFault", "all_faults",

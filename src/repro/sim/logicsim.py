@@ -30,10 +30,8 @@ and per-gate numpy dispatch (≈ µs per call even on a 16-word row)
 swamps the actual bit work.  A bitwise op on a 1024-bit Python int runs
 in ≈ 100 ns, an order of magnitude cheaper; only the rows an event
 actually touches are converted, lazily, and changed rows are converted
-back to ``uint64`` arrays at the end.  The previous full-scan kernel is
-kept as :func:`propagate_scan`: it is the obviously-correct reference
-the property tests compare against and the baseline the benchmark
-harness measures speedups over.
+back to ``uint64`` arrays at the end.  The property tests check it
+against a full topological scan kept under ``tests/sim``.
 
 Overrides come in two flavours mirroring the line model: a *stem*
 override replaces a signal everywhere; a *pin* override replaces the
@@ -167,9 +165,8 @@ def propagate(netlist: Netlist, values: np.ndarray,
             conversions, owned by the caller and reused across calls that
             share one ``values`` matrix (a suspect sweep converts the
             same rows hundreds of times otherwise).  Must be dropped when
-            ``values`` changes; :class:`Simulator` and
-            ``DiagnosisState`` each hold one per value matrix.  Only
-            single-row calls use it.
+            ``values`` changes; ``DiagnosisState`` holds one per value
+            matrix.  Only single-row calls use it.
 
     Returns:
         {gate_index: new packed words} for every gate whose value differs
@@ -284,95 +281,7 @@ def propagate(netlist: Netlist, values: np.ndarray,
     return changed
 
 
-def propagate_scan(netlist: Netlist, values: np.ndarray,
-                   stem_overrides: Mapping[int, np.ndarray] | None = None,
-                   pin_overrides: Mapping[tuple, np.ndarray] | None = None,
-                   cone: set | None = None) -> dict:
-    """Reference kernel: full topological scan with cone-membership tests.
-
-    Functionally identical to :func:`propagate` (same contract, same
-    returned dict) but walks the *entire* ``topo_order()`` and evaluates
-    every cone gate whether or not its fanin changed.  Kept as the
-    pre-event-kernel baseline for the benchmark harness and as the
-    oracle for the propagate/simulate equivalence property tests.
-    """
-    stem_overrides = dict(stem_overrides or {})
-    pin_overrides = dict(pin_overrides or {})
-    if not stem_overrides and not pin_overrides:
-        return {}
-    if cone is None:
-        cone = set()
-        for sig in stem_overrides:
-            cone |= netlist.fanout_cone(sig)
-        for (sink, _pin) in pin_overrides:
-            cone |= netlist.fanout_cone(sink)
-            cone.add(sink)
-    changed: dict = dict(stem_overrides)
-    gates = netlist.gates
-    for idx in netlist.topo_order():
-        if idx not in cone:
-            continue
-        gate = gates[idx]
-        if idx in stem_overrides:
-            continue  # forced value, do not recompute
-        if gate.gtype in _PASSIVE_TYPES:
-            continue
-        ins = []
-        for pin, src in enumerate(gate.fanin):
-            override = pin_overrides.get((idx, pin))
-            if override is not None:
-                ins.append(override)
-            elif src in changed:
-                ins.append(changed[src])
-            else:
-                ins.append(values[src])
-        new = eval_words(gate.gtype, ins)
-        if not np.array_equal(new, values[idx]):
-            changed[idx] = new
-        elif idx in changed:
-            del changed[idx]
-    return changed
-
-
 def lookup(changed: dict, values: np.ndarray, idx: int) -> np.ndarray:
     """Value row for ``idx`` after a :func:`propagate` call."""
     row = changed.get(idx)
     return values[idx] if row is None else row
-
-
-class Simulator:
-    """Convenience wrapper caching the value matrix for one netlist +
-    pattern set.  Cone caching lives on the :class:`Netlist` itself
-    (:meth:`Netlist.sorted_cone`), so repeated :func:`propagate` calls
-    and other cone consumers share one cache."""
-
-    def __init__(self, netlist: Netlist, patterns: PatternSet):
-        self.netlist = netlist
-        self.patterns = patterns
-        self.values = simulate(netlist, patterns)
-        self._cones: dict[int, set] = {}
-        # Baseline big-int rows, shared by every propagate call on this
-        # (netlist, values) pair; see the base_ints arg of propagate().
-        self._base_ints: dict[int, int] = {}
-
-    def cone_of(self, signal: int) -> set:
-        cone = self._cones.get(signal)
-        if cone is None:
-            cone = self.netlist.fanout_cone(signal)
-            self._cones[signal] = cone
-        return cone
-
-    def outputs(self) -> np.ndarray:
-        return output_rows(self.netlist, self.values)
-
-    def propagate_stem(self, signal: int,
-                       words: np.ndarray) -> dict:
-        return propagate(self.netlist, self.values,
-                         stem_overrides={signal: words},
-                         base_ints=self._base_ints)
-
-    def propagate_pin(self, sink: int, pin: int,
-                      words: np.ndarray) -> dict:
-        return propagate(self.netlist, self.values,
-                         pin_overrides={(sink, pin): words},
-                         base_ints=self._base_ints)

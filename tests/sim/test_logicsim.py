@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.circuit import GateType, Netlist, generators
 from repro.circuit.gatetypes import eval_scalar
 from repro.errors import SimulationError
-from repro.sim import (PatternSet, Simulator, lookup, output_rows,
-                       propagate, simulate)
+from repro.sim import PatternSet, lookup, propagate, simulate
 from repro.sim.packing import unpack_bits
 
 
@@ -120,16 +119,3 @@ def test_propagate_reports_only_changes(c17, patterns256):
     same = values[target].copy()
     changed = propagate(c17, values, stem_overrides={target: same})
     assert set(changed) == {target}  # override recorded, nothing changed
-
-
-def test_simulator_wrapper(c17, patterns256):
-    sim = Simulator(c17, patterns256)
-    assert sim.outputs().shape == (2, patterns256.num_words)
-    target = c17.index_of("11")
-    forced = np.zeros_like(sim.values[target])
-    changed = sim.propagate_stem(target, forced)
-    assert target in changed
-    # cone caching returns the same object
-    assert sim.cone_of(target) is sim.cone_of(target)
-    changed_pin = sim.propagate_pin(c17.index_of("16"), 1, forced)
-    assert isinstance(changed_pin, dict)

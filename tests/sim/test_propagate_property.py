@@ -5,7 +5,7 @@ two independent references on randomized netlists and overrides:
 
 * a from-scratch oracle that re-evaluates the *entire* netlist in
   topological order honouring the overrides, and
-* :func:`repro.sim.propagate_scan`, the retained pre-event kernel.
+* :func:`propagate_oracle.propagate_scan`, a full topological scan.
 
 Pattern counts deliberately straddle the 64-bit word boundary
 (1, 63, 64, 65, 1000) so tail-padding handling is exercised.  The
@@ -21,8 +21,8 @@ import pytest
 from repro.circuit import GateType, generators
 from repro.circuit.gatetypes import eval_words
 from repro.errors import SimulationError
-from repro.sim import (PatternSet, lookup, propagate, propagate_scan,
-                       simulate)
+from repro.sim import PatternSet, lookup, propagate, simulate
+from tests.sim.propagate_oracle import propagate_scan
 
 _PASSIVE = (GateType.INPUT, GateType.DFF, GateType.CONST0,
             GateType.CONST1)
