@@ -503,9 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--time-budget", type=float, default=120.0)
     p.add_argument("--jobs", type=int, default=1,
-                   help="process-pool width for the sharded decision-"
-                        "tree search; any N returns the same solution "
-                        "list as --jobs 1 (default 1)")
+                   help="processes for the sharded decision-tree "
+                        "search, counting this one (N-1 are forked); "
+                        "any N returns the same solution list as "
+                        "--jobs 1 (default 1)")
     p.add_argument("--worker-budget", type=int, default=None,
                    help="per-shard node budget (default: max_nodes "
                         "per shard)")

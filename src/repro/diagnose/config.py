@@ -97,10 +97,11 @@ class DiagnosisConfig:
             subtree per screened root correction (see
             :mod:`repro.parallel`) and the cap applies *per shard*
             unless ``worker_budget`` overrides it.
-        jobs: process-pool width for the sharded search.  ``1``
-            (default) runs the same shard plan in-process; any ``N``
-            returns the identical solution list and deterministic
-            counters (the scheduler's determinism contract, valid when
+        jobs: processes for the sharded search, counting the caller:
+            ``N`` forks ``N - 1`` workers, and ``1`` (default) runs the
+            same shard plan in-process.  Any ``N`` returns the
+            identical solution list and deterministic counters (the
+            scheduler's determinism contract, valid when
             ``time_budget`` is None).
         worker_budget: per-shard node budget; None means each shard
             inherits ``max_nodes``.  Deliberately independent of

@@ -32,10 +32,11 @@ DiagnosisSession` and delegates the deepening loop to the mode's
 DEDC ladder).  Every shard of either plan runs through
 :func:`execute_shard`: the exact strategy dispatches its plan through
 :func:`repro.parallel.run_shards` (``DiagnosisConfig(jobs=1)``
-in-process, ``jobs=N`` on a process pool) with the same shard plan,
-per-shard budgets and merge order either way, so the solution list and
-the deterministic counters are identical at any pool width.  Per-stage
-instrumentation lands in ``EngineStats.stages``.
+in-process, ``jobs=N`` on the caller plus ``N - 1`` forked workers)
+with the same shard plan, per-shard budgets and merge order either
+way, so the solution list and the deterministic counters are identical
+at any ``jobs``.  Per-stage instrumentation lands in
+``EngineStats.stages``.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class IncrementalDiagnoser:
     # scheduler plumbing shared by both protocols
     # ------------------------------------------------------------------
     def _worker_payload(self) -> tuple:
-        """One read-only pickle per worker: netlist + packed patterns."""
+        """Read-only state each forked worker rebuilds its context from."""
         return (self.impl, self.patterns, self.spec_out, self.config)
 
     def _local_context(self):

@@ -452,6 +452,7 @@ class LadderStrategy(SearchStrategy):
                  for i, (h, fraction) in enumerate(attempts)]
         results = parallel.run_shards(tasks, session.config.jobs,
                                       payload=diagnoser._worker_payload(),
+                                      context=diagnoser._local_context(),
                                       wall_deadline=wall_deadline)
         winner = None
         for res in results:

@@ -1,4 +1,4 @@
-"""Process-pool work scheduler for parallel decision-tree diagnosis.
+"""Self-scheduling shard executor for parallel decision-tree diagnosis.
 
 The round-based decision-tree traversal (§3.3) is embarrassingly
 parallel across subtrees: once the root node has been expanded, the
@@ -9,7 +9,7 @@ hierarchical decomposition); this module brings it to both engine
 protocols.
 
 **Sharding model.**  Exact stuck-at mode distributes depth-1 subtrees:
-the parent expands the root node once (path trace, Theorem 1 screen,
+the caller expands the root node once (path trace, Theorem 1 screen,
 outcome-guided ordering) and emits one shard per screened root
 correction; each shard explores the entire subtree under its root
 correction with a private visited set and a per-shard node/time budget
@@ -21,35 +21,54 @@ stopped at — and discards the speculative rest.
 
 **Determinism contract.**  The shard plan, each shard's exploration and
 the merge order are all functions of (netlist, patterns, config) —
-never of pool size or completion order — so ``jobs=N`` returns the same
-solution list and the same deterministic counters (``nodes``,
-``truncated``, ``prescreen_dropped``, ``levels_tried``, per-shard node
-counts) as ``jobs=1`` for every ``N``.  Wall-clock fields are
+never of ``jobs``, of which process claims a shard or of completion
+order — so ``jobs=N`` returns the same solution list and the same
+deterministic counters (``nodes``, ``truncated``,
+``prescreen_dropped``, ``levels_tried``, per-shard node counts) as
+``jobs=1`` for every ``N``.  Wall-clock fields are
 measurements and vary.  The contract requires ``time_budget=None``:
 wall-clock expiry truncates whatever was in flight and is inherently
 timing-dependent.
 
 **Worker failure.**  A crashed worker (hard death, broken pool,
-unpicklable result) or a shard that outlives the wall-clock deadline
-degrades to a failed :class:`ShardResult`; the merge keeps every other
-shard's solutions and flags the run ``truncated`` with the failure
-recorded in ``EngineStats.truncation_causes`` — never a hang, never a
-silently dropped solution.  Shards check their deadline at every tree
-node, so a deadline-expired worker reports its partial result within
-one node expansion; :data:`DEADLINE_GRACE` bounds how long the
-scheduler waits for that report before writing the shard off.
+unpicklable result) or one that outlives the wall-clock deadline turns
+every shard it claimed into a failed :class:`ShardResult` at that
+shard's plan index; the merge keeps every other shard's solutions and
+flags the run ``truncated`` with the failure recorded in
+``EngineStats.truncation_causes`` — never a hang, never a silently
+dropped solution.  The caller keeps claiming while a worker is gone,
+so the rest of the plan still runs.  A broken pool takes all of its
+workers down, so at ``jobs >= 3`` one death loses every forked
+worker's claimed shards; the caller's own shards always survive.
+Shards check their deadline at every tree node, so a deadline-expired
+worker reports its partial result within one node expansion;
+:data:`DEADLINE_GRACE` bounds how long the scheduler waits for that
+report before writing the worker off.
 
 **Dispatch.**  The engine strategies of
 :mod:`repro.diagnose.pipeline` call :func:`run_shards` through this
 module at dispatch time; it returns one :class:`ShardResult` per task,
-in plan order.  Deadlines cross the process boundary as epoch
-timestamps (``time.time``), the one place the diagnose stack uses
-wall-clock: ``perf_counter`` values are not comparable between
-processes (see :mod:`repro.diagnose.clock`).
+in plan order.  ``jobs=N`` means N processes counting the caller;
+N−1 are forked.  Every executor claims the next unclaimed plan index
+from one shared counter and runs that shard, so fast shards never wait
+behind slow ones and the caller, which already holds the warm root
+state, does its share instead of idling.  Each forked worker gets one
+future for its whole share and returns its results in one reply.
+Under spawn or forkserver a worker attaches to the counter only when
+its interpreter has started; at ``jobs >= 3`` one that starts after
+the plan is finished finds the counter gone and exits with an error,
+which costs nothing because every shard has been reported by then.
+Deadlines cross the process boundary as epoch timestamps
+(``time.time``), the one place the diagnose stack uses wall-clock:
+``perf_counter`` values are not comparable between processes (see
+:mod:`repro.diagnose.clock`).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
@@ -59,19 +78,21 @@ from dataclasses import dataclass, field
 #: partial (self-truncated) result before the scheduler gives up on it.
 DEADLINE_GRACE = 10.0
 
-_CONTEXT = None   # per-worker DiagnosisContext (set by _init_worker)
+_WORKER = None   # per-worker (context, tasks, claim), set by _init_worker
 
 
 class DiagnosisContext:
-    """Read-only diagnosis context each worker rebuilds exactly once.
+    """Read-only diagnosis context: the root state every shard starts from.
 
-    The payload shipped to the pool initializer is the pickle of
-    ``(netlist, patterns, spec_out, config)`` — the netlist and the
-    packed pattern words cross the process boundary once per *worker*,
-    not once per shard.  The root
-    :class:`~repro.diagnose.bitlists.DiagnosisState` (one simulation of
-    the implementation) is rebuilt inside the worker; its packed value
-    matrix never crosses the boundary at all.
+    The caller runs its shards on the diagnoser's own context, whose root
+    :class:`~repro.diagnose.bitlists.DiagnosisState` is already built.
+    A forked worker rebuilds its context exactly once, in the pool
+    initializer, from the payload ``(netlist, patterns, spec_out,
+    config)``.  Under fork the payload is inherited with the process
+    memory; it is pickled, once per worker and never per shard, only
+    under the spawn or forkserver start methods.  The root state (one
+    simulation of the implementation) is rebuilt inside the worker; its
+    packed value matrix never crosses the process boundary.
     """
 
     def __init__(self, netlist, patterns, spec_out, config,
@@ -98,74 +119,89 @@ class ShardResult:
     error: str | None = None    # worker crash / deadline overrun
 
 
-def _init_worker(payload) -> None:
-    global _CONTEXT
-    netlist, patterns, spec_out, config = payload
-    _CONTEXT = DiagnosisContext(netlist, patterns, spec_out, config)
+def _claim(counter) -> int:
+    # The locked section is a bare read-and-increment, so a worker the
+    # pool kills is all but never holding the lock when it dies.
+    with counter.get_lock():
+        index = counter.value
+        counter.value = index + 1
+    return index
 
 
-def _worker_entry(task) -> ShardResult:
-    # Import inside the worker: repro.diagnose.engine imports this
-    # module at its top level, so the reverse import must stay lazy.
+def _drain(context, tasks, claim) -> list:
+    """Run shards in claim order until the plan is exhausted."""
+    # Import at call time: repro.diagnose.engine imports this module at
+    # its top level, so the reverse import must stay lazy.
     from .diagnose import engine
-    try:
-        return engine.execute_shard(_CONTEXT, task)
-    except Exception as exc:  # a shard must never take down its siblings
-        return ShardResult(task[1],
-                           error=f"{type(exc).__name__}: {exc}")
+    results = []
+    while (index := claim()) < len(tasks):
+        task = tasks[index]
+        try:
+            results.append(engine.execute_shard(context, task))
+        except Exception as exc:  # a shard must never take down its siblings
+            results.append(ShardResult(
+                task[1], error=f"{type(exc).__name__}: {exc}"))
+    return results
+
+
+def _init_worker(payload, tasks, counter) -> None:
+    global _WORKER
+    _WORKER = (DiagnosisContext(*payload), tasks,
+               functools.partial(_claim, counter))
+
+
+def _worker_entry() -> list:
+    return _drain(*_WORKER)
 
 
 def run_shards(tasks, jobs: int, payload=None, context=None,
                wall_deadline: float | None = None) -> list:
     """Execute a deterministic shard plan; results come back in plan
-    order regardless of completion order.
+    order regardless of which process ran which shard.
 
     ``tasks`` are the engine's shard descriptors (tuples whose second
-    element is the plan index).  With ``jobs <= 1`` — or a single-shard
-    plan, where a pool could only add overhead — the same shards run
-    in-process on ``context``: the serial path *is* the parallel path
-    with a one-slot pool, which is what makes ``jobs=1`` and ``jobs=N``
-    comparable counter-for-counter.
+    element is the plan index).  ``jobs`` counts the calling process,
+    which runs its shards in-process on ``context`` (built from
+    ``payload`` when not given); the other ``jobs - 1`` executors are
+    forked only when the plan has shards enough to share.  The serial
+    path *is* the parallel path with no forked workers, which is what
+    makes ``jobs=1`` and ``jobs=N`` comparable counter-for-counter.
     """
-    if jobs <= 1 or len(tasks) <= 1:
-        from .diagnose import engine
-        if context is None:
-            context = DiagnosisContext(*payload)
-        results = []
-        for task in tasks:
-            try:
-                results.append(engine.execute_shard(context, task))
-            except Exception as exc:
-                results.append(ShardResult(
-                    task[1], error=f"{type(exc).__name__}: {exc}"))
-        return results
-    return _run_pool(tasks, jobs, payload, wall_deadline)
+    if context is None:
+        context = DiagnosisContext(*payload)
+    workers = min(jobs, len(tasks)) - 1
+    if workers <= 0:
+        return _drain(context, tasks, itertools.count().__next__)
+    return _run_pool(tasks, workers, context, payload, wall_deadline)
 
 
-def _run_pool(tasks, jobs: int, payload,
+def _run_pool(tasks, workers: int, context, payload,
               wall_deadline: float | None) -> list:
-    results: list = [None] * len(tasks)
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+    counter = multiprocessing.Value("i", 0)
+    lost = None   # why the shards no executor reported on were lost
+    pool = ProcessPoolExecutor(max_workers=workers,
                                initializer=_init_worker,
-                               initargs=(payload,))
+                               initargs=(payload, tasks, counter))
     try:
-        futures = [pool.submit(_worker_entry, task) for task in tasks]
-        for index, future in enumerate(futures):
+        futures = [pool.submit(_worker_entry) for _ in range(workers)]
+        reported = _drain(context, tasks,
+                          functools.partial(_claim, counter))
+        for future in futures:
             timeout = None
             if wall_deadline is not None:
-                timeout = (max(0.0, wall_deadline - time.time())
-                           + DEADLINE_GRACE)
+                timeout = max(0.0, wall_deadline + DEADLINE_GRACE
+                              - time.time())
             try:
-                results[index] = future.result(timeout=timeout)
+                reported += future.result(timeout=timeout)
             except _FutureTimeout:
-                future.cancel()
-                results[index] = ShardResult(
-                    index,
-                    error="shard outlived the wall-clock deadline")
+                lost = lost or "worker outlived the wall-clock deadline"
             except Exception as exc:  # BrokenProcessPool and friends
-                results[index] = ShardResult(
-                    index,
-                    error=f"worker failed: {type(exc).__name__}: {exc}")
+                lost = lost or (f"worker failed: "
+                                f"{type(exc).__name__}: {exc}")
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
-    return results
+    results: list = [None] * len(tasks)
+    for res in reported:
+        results[res.index] = res
+    return [res if res is not None else ShardResult(index, error=lost)
+            for index, res in enumerate(results)]

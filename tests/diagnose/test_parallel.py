@@ -7,8 +7,13 @@ same deterministic counters as ``jobs=1``.  Wall-clock fields are
 measurements and are excluded from every comparison here.
 """
 
+import multiprocessing
+import os
+import time
+
 import pytest
 
+from repro import parallel as scheduler
 from repro.circuit import generators
 from repro.diagnose import (DiagnosisConfig, DiagnosisState,
                             IncrementalDiagnoser, Mode, derive_seed,
@@ -16,6 +21,7 @@ from repro.diagnose import (DiagnosisConfig, DiagnosisState,
                             solution_sort_key)
 from repro.faults import (inject_stuck_at_faults,
                           observable_design_error_workload)
+from repro.diagnose import engine
 from repro.parallel import ShardResult, run_shards
 from repro.sim import PatternSet
 from repro.sim.logicsim import output_rows, simulate
@@ -53,18 +59,107 @@ def _deterministic_stats(stats):
 # ----------------------------------------------------------------------
 # jobs=1 ≡ jobs=N
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_exact_jobs_identical_on_random_netlists(seed):
+# Every pool width from one forked worker up; the jobs=4 cases keep
+# their long-standing seed-only ids.
+@pytest.mark.parametrize("seed, jobs", [
+    pytest.param(seed, jobs, id=str(seed) if jobs == 4
+                 else f"{seed}-jobs{jobs}")
+    for jobs in (4, 2, 3) for seed in (0, 1, 2)])
+def test_exact_jobs_identical_on_random_netlists(seed, jobs):
     spec = generators.random_dag(5, 30, 3, seed=seed)
     workload = inject_stuck_at_faults(spec, 2, seed=seed + 7)
     patterns = PatternSet.random(5, 256, seed=seed + 1)
     serial = _exact_result(spec, workload, patterns, max_errors=2,
                            jobs=1)
     parallel = _exact_result(spec, workload, patterns, max_errors=2,
-                             jobs=4)
+                             jobs=jobs)
     assert _describes(serial) == _describes(parallel)
     assert (_deterministic_stats(serial.stats)
             == _deterministic_stats(parallel.stats))
+
+
+def _spy_plans(monkeypatch) -> list:
+    """Record every ``run_shards`` call as (tasks, payload, results)."""
+    plans = []
+    real = scheduler.run_shards
+
+    def run_shards(tasks, jobs, **kwargs):
+        results = real(tasks, jobs, **kwargs)
+        plans.append((tasks, kwargs["payload"], results))
+        return results
+
+    monkeypatch.setattr(scheduler, "run_shards", run_shards)
+    return plans
+
+
+def test_results_come_back_in_plan_order(c17, monkeypatch):
+    """Whichever executor claims a shard, its result lands at its plan
+    index, and every width reports what jobs=1 reports."""
+    plans = _spy_plans(monkeypatch)
+    workload = inject_stuck_at_faults(c17, 2, seed=3)
+    patterns = PatternSet.random(5, 512, seed=9)
+    _exact_result(c17, workload, patterns, max_errors=2)
+    tasks, payload, _results = plans[-1]
+    assert len(tasks) >= 5
+    for size in (1, 2, 5):
+        plan = tasks[:size]
+        serial = None
+        for jobs in (1, 2, 3):
+            results = run_shards(plan, jobs, payload=payload)
+            assert [r.index for r in results] == list(range(size))
+            assert all(r.error is None for r in results)
+            outcome = [([s.describe() for s in r.solutions], r.stats.nodes)
+                       for r in results]
+            serial = serial or outcome
+            assert outcome == serial
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the worker must inherit the patched engine")
+def test_dead_worker_loses_only_its_claimed_shards(c17, monkeypatch,
+                                                   tmp_path):
+    """A worker that dies mid-plan turns the shards it claimed into
+    failed results; the caller finishes the rest of the plan, and the
+    run is flagged truncated with the cause recorded."""
+    workload = inject_stuck_at_faults(c17, 1, seed=1)
+    patterns = PatternSet.random(5, 512, seed=9)
+    plans = _spy_plans(monkeypatch)
+    _exact_result(c17, workload, patterns, max_errors=1, jobs=1)
+    (_tasks, _payload, serial), = plans
+    assert len(serial) >= 3
+
+    caller, died, ran = os.getpid(), tmp_path / "died", []
+    real = engine.execute_shard
+
+    def execute_shard(context, task):
+        if os.getpid() != caller:
+            died.touch()
+            os._exit(1)
+        # Hold the caller's first shard until the worker has claimed
+        # one and died, so the plan has a lost shard on every run.
+        give_up = time.monotonic() + 60
+        while not died.exists() and time.monotonic() < give_up:
+            time.sleep(0.01)
+        ran.append(task[1])
+        return real(context, task)
+
+    monkeypatch.setattr(engine, "execute_shard", execute_shard)
+    result = _exact_result(c17, workload, patterns, max_errors=1, jobs=2)
+    (_tasks, _payload, results), = plans[1:]
+    assert [r.index for r in results] == list(range(len(serial)))
+    lost = [r.index for r in results if r.index not in ran]
+    assert ran and lost and len(ran) + len(lost) == len(results)
+    for res in results:
+        if res.index in ran:
+            assert res.error is None
+            assert ([s.describe() for s in res.solutions]
+                    == [s.describe() for s in serial[res.index].solutions])
+        else:
+            assert res.error.startswith("worker failed")
+    assert result.stats.truncated
+    causes = [c for c in result.stats.truncation_causes
+              if "worker failed" in c]
+    assert len(causes) == len(lost)
 
 
 def test_dedc_jobs_identical(alu4):
