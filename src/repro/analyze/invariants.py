@@ -123,6 +123,30 @@ class InvariantChecker:
                     f"propagate {dict(zip(fields, expected))}")
 
     # ------------------------------------------------------------------
+    def check_potentials(self, state, potentials) -> None:
+        """Every heuristic-1 potential, measured in a multi-site
+        slot-packed sweep, equals a one-row propagate of its line's
+        inverted ``Verr`` bits.
+
+        ``potentials`` are :class:`~repro.diagnose.potential.LinePotential`
+        records of :func:`~repro.diagnose.potential.rank_lines`.
+        """
+        self.checks_run += 1
+        denom = state.num_err_pairs if state.num_err_pairs else 1
+        for pot in potentials:
+            single, = state.outcome_of_override(
+                pot.line, state.line_values(pot.line) ^ state.err_mask)
+            expected = (single.fixed_pairs, single.rectified_vectors,
+                        single.fixed_pairs / denom)
+            packed = (pot.fixed_pairs, pot.rectified_vectors, pot.score)
+            if packed != expected:
+                raise InvariantViolation(
+                    f"packed heuristic 1 of line "
+                    f"{state.table.describe(pot.line)} gave (fixed "
+                    f"pairs, rectified vectors, score) {packed}, a "
+                    f"one-row propagate {expected}")
+
+    # ------------------------------------------------------------------
     def check_lines_live(self, state, line_indices) -> None:
         """Decision-tree candidates only reference lines of the state's
         own table whose drivers are live (or primary inputs)."""

@@ -146,37 +146,61 @@ class DiagnosisState:
         return DiagnosisState(child_netlist, self.patterns, self.spec_out,
                               values=values)
 
-    def propagate_line_override(self, line_index: int,
+    def propagate_line_override(self, line_index,
                                 new_words: np.ndarray) -> dict:
-        """Push a hypothetical line value through its fanout cone.
+        """Push hypothetical line values through their fanout cones.
 
         Stem lines override the whole signal, branch lines only the sink
-        pin.  Returns the changed-row dict of
-        :func:`repro.sim.logicsim.propagate`.
+        pin.  ``line_index`` is one line, overridden in every slot of
+        ``new_words``, or a sequence of k lines, one per slot of the
+        ``(k, nwords)`` stack: slot *s* then forces only line *s*, and
+        the other slots' lines run free in it (per-slot sites of
+        :func:`repro.sim.logicsim.propagate`).  Returns the changed-row
+        dict of that propagate.
         """
-        line = self.table[line_index]
-        if line.is_stem:
+        if isinstance(line_index, (int, np.integer)):
+            line = self.table[line_index]
+            if line.is_stem:
+                return propagate(self.netlist, self.values,
+                                 stem_overrides={line.driver: new_words},
+                                 base_ints=self._base_ints)
             return propagate(self.netlist, self.values,
-                             stem_overrides={line.driver: new_words},
+                             pin_overrides={(line.sink, line.pin):
+                                            new_words},
                              base_ints=self._base_ints)
-        return propagate(self.netlist, self.values,
-                         pin_overrides={(line.sink, line.pin): new_words},
-                         base_ints=self._base_ints)
+        stems: dict = {}
+        pins: dict = {}
+        forced: dict = {}
+        for slot, index in enumerate(line_index):
+            line = self.table[index]
+            if line.is_stem:
+                site = line.driver
+                stems[site] = new_words
+            else:
+                site = (line.sink, line.pin)
+                pins[site] = new_words
+            forced.setdefault(site, []).append(slot)
+        return propagate(self.netlist, self.values, stem_overrides=stems,
+                         pin_overrides=pins, forced_slots=forced)
 
-    def outcome_of_override(self, line_index: int,
+    def outcome_of_override(self, line_index,
                             new_words: np.ndarray
                             ) -> list[OverrideOutcome]:
         """Propagate candidate line values and summarize each one's
         effect on V.
 
         ``new_words`` is a ``(k, nwords)`` stack with one candidate
-        value of the line per slot, or a single ``(nwords,)`` row (one
-        slot).  All k overrides share one slot-packed propagate through
-        the line's fanout cone.  Returns one :class:`OverrideOutcome` per
-        slot, in slot order.
+        value per slot, or a single ``(nwords,)`` row (one slot).
+        ``line_index`` is the line every slot overrides (heuristics 2
+        and 3: k corrections of one line), or a sequence of k lines,
+        slot *s* overriding only line *s* (heuristic 1: k suspects).
+        Either way the k overrides share one slot-packed propagate.
+        Returns one :class:`OverrideOutcome` per slot, in slot order.
         """
         if new_words.ndim == 2 and len(new_words) == 1:
             new_words = new_words[0]
+            if not isinstance(line_index, (int, np.integer)):
+                line_index, = line_index
         changed = self.propagate_line_override(line_index, new_words)
         if new_words.ndim == 1:
             # One slot: the 2-D summary, which is measurably cheaper

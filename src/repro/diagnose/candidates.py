@@ -8,12 +8,19 @@ insert/remove inverter, and remove/replace/add input wire.
 
 Wire corrections need new source signals.  The paper does not specify a
 restriction; we score **every** structurally legal signal (live, outside
-the driver's fanout cone) in one bit-parallel sweep — how many failing-
-vector bits the rewired gate would flip minus how many passing-vector
-bits it would corrupt — and keep the top ``wire_source_limit`` per pin
-(DESIGN.md §7).  This keeps the wire-correction space bounded without
-randomly missing the actual source, which path-trace alone cannot see
-(a *missing* wire is outside every sensitized path).
+the driver's fanout cone) in one bit-parallel sweep per line — how many
+failing-vector bits the rewired gate would flip minus how many
+passing-vector bits it would corrupt — and keep the top
+``wire_source_limit`` per pin (DESIGN.md §7).  This keeps the
+wire-correction space bounded without randomly missing the actual
+source, which path-trace alone cannot see (a *missing* wire is outside
+every sensitized path).
+
+Every correction comes with its predicted line words, which the screens
+of :mod:`repro.diagnose.screening` consume: a wire or inserted-gate
+correction's words are its row of the scoring sweep, and every other
+kind evaluates its gate once with
+:func:`~repro.faults.models.corrected_line_words`.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ import numpy as np
 
 from ..circuit.gatetypes import (GateType, REPLACEMENT_CLASSES,
                                  SOURCE_TYPES, eval_words)
-from ..faults.models import Correction, CorrectionKind
+from ..faults.models import (Correction, CorrectionKind,
+                             corrected_line_words)
 from ..sim.packing import row_popcounts
 from .bitlists import DiagnosisState
 from .config import DiagnosisConfig, Mode
@@ -66,24 +74,6 @@ def _legal_sources_mask(state: DiagnosisState, driver: int) -> np.ndarray:
     return mask
 
 
-def _combine(base: np.ndarray, values: np.ndarray, gtype: GateType,
-             invert: bool) -> np.ndarray:
-    """New gate output for every candidate source at once.
-
-    ``base`` is the gate's core (non-inverted) function over the retained
-    fanins; ``values`` is the full value matrix, one candidate per row.
-    """
-    if gtype in (GateType.AND, GateType.NAND):
-        new = values & base
-    elif gtype in (GateType.OR, GateType.NOR):
-        new = values | base
-    else:  # XOR/XNOR
-        new = values ^ base
-    if invert:
-        new = new ^ _ONES
-    return new
-
-
 _CORE_OF = {
     GateType.BUF: (GateType.AND, False),
     GateType.NOT: (GateType.AND, True),
@@ -96,25 +86,23 @@ _CORE_OF = {
 }
 
 
-def scored_wire_sources(state: DiagnosisState, driver: int,
-                        skip_pin: int | None, limit: int,
-                        as_type: GateType | None = None) -> list[int]:
-    """Best source signals for an add-wire (``skip_pin=None``) or
-    replace-wire (``skip_pin=p``) correction on gate ``driver``.
+#: Bitwise core op per gate core: a candidate gate's output is
+#: ``core(base, source)``, inverted for NAND/NOR/XNOR/NOT.
+_CORE_UFUNC = {GateType.AND: np.bitwise_and, GateType.OR: np.bitwise_or,
+               GateType.XOR: np.bitwise_xor}
 
-    Scores every legal signal bit-parallel: (failing bits the new output
-    flips) − (passing bits it corrupts); returns the top ``limit`` with
-    positive flip counts.  ``as_type`` scores the gate as if promoted to
-    that type (needed when a missing-wire error degraded OR->BUF etc.).
+
+def _rewired_core(state: DiagnosisState, driver: int,
+                  skip_pin: int | None, gtype: GateType) -> tuple:
+    """``(core, invert, base)`` of gate ``driver`` read as ``gtype``,
+    with fanin ``skip_pin`` removed (``None`` keeps every fanin).
+
+    ``base`` is the core function over the retained fanins, so a new
+    source ``src`` makes the gate compute ``core(base, src)``.
     """
-    netlist = state.netlist
-    gate = netlist.gates[driver]
-    gtype = as_type or gate.gtype
-    retained = [src for pin, src in enumerate(gate.fanin)
-                if pin != skip_pin]
-    if gtype not in _CORE_OF:
-        return []
     core, invert = _CORE_OF[gtype]
+    retained = [src for pin, src in enumerate(state.netlist.gates[driver]
+                                              .fanin) if pin != skip_pin]
     if retained:
         base = eval_words(core, [state.values[src] for src in retained])
     else:
@@ -122,40 +110,80 @@ def scored_wire_sources(state: DiagnosisState, driver: int,
         base = (np.zeros_like(state.values[driver])
                 if core in (GateType.OR, GateType.XOR)
                 else np.full_like(state.values[driver], _ONES))
-    old = state.values[driver]
-    new = _combine(base, state.values, core, invert)
-    delta = new ^ old
-    err_flips = row_popcounts(delta & state.err_mask)
-    corr_flips = row_popcounts(delta & state.corr_mask)
+    return core, invert, base
+
+
+def scored_sources(state: DiagnosisState, driver: int,
+                   sweeps: list) -> list[tuple[list[int], np.ndarray]]:
+    """Best new source signals for several rewirings of gate ``driver``,
+    all scored in one bit-parallel sweep.
+
+    Each sweep ``(core, invert, base, limit)`` is a candidate gate
+    computing ``core(base, src)`` (inverted if ``invert``) for every
+    signal ``src`` at once: an added or replaced input wire (base from
+    :func:`_rewired_core`) or an inserted gate (base = the line
+    itself).  A source scores (failing bits the new output flips) −
+    (passing bits it corrupts); each sweep keeps its top ``limit``
+    legal sources (:func:`_legal_sources_mask`, computed once for all
+    sweeps) with positive flip counts.
+
+    Returns, per sweep, the sources and the gate output each one gives:
+    a ``(len(sources), nwords)`` stack of owned rows, which are the
+    corrections' predicted line words.
+    """
+    values = state.values
+    m = len(sweeps)
+    new = np.empty((m,) + values.shape, dtype=values.dtype)
+    for j, (core, invert, base, _limit) in enumerate(sweeps):
+        _CORE_UFUNC[core](values, base, out=new[j])
+        if invert:
+            new[j] ^= _ONES
+    delta = (new ^ values[driver]).reshape(-1, values.shape[1])
+    err_flips = row_popcounts(delta & state.err_mask).reshape(m, -1)
+    corr_flips = row_popcounts(delta & state.corr_mask).reshape(m, -1)
+    ok = _legal_sources_mask(state, driver) & (err_flips > 0)
     score = err_flips - corr_flips
-    legal = _legal_sources_mask(state, driver) & (err_flips > 0)
-    if not legal.any():
-        return []
-    sentinel = score.min() - 1
-    score = np.where(legal, score, sentinel)
-    order = np.argsort(score, kind="stable")[::-1]
-    return [int(g) for g in order[:limit] if legal[g]]
+    score = np.where(ok, score, score.min() - 1)
+    # Best first; ties go to the higher gate index.
+    order = np.argsort(score, axis=1, kind="stable")[:, ::-1]
+    picked = []
+    for j, (_core, _invert, _base, limit) in enumerate(sweeps):
+        top = [int(g) for g in order[j, :limit] if ok[j, g]]
+        picked.append((top, new[j, top]))
+    return picked
+
+
+def _predict(state: DiagnosisState,
+             corrections: list[Correction]) -> np.ndarray:
+    """Predicted line words of corrections that take one gate
+    evaluation each, stacked (row *i* for correction *i*)."""
+    return np.stack([corrected_line_words(state.netlist, state.table,
+                                          corr, state.values)
+                     for corr in corrections])
 
 
 def design_error_corrections(state: DiagnosisState, line_index: int,
                              config: DiagnosisConfig
-                             ) -> list[Correction]:
-    """Every Abadir-model correction applicable at a line."""
+                             ) -> tuple[list[Correction], np.ndarray]:
+    """Every Abadir-model correction applicable at a line, with the
+    ``(k, nwords)`` stack of the line words each one predicts.
+
+    Inverter, gate-replacement, wire-removal and bypass corrections
+    evaluate their gate once each; the words of wire-addition,
+    wire-replacement and gate-insertion corrections are the rows their
+    source-scoring sweep already computed.
+    """
     netlist = state.netlist
     line = state.table[line_index]
     driver_gate = netlist.gates[line.driver]
-    corrections: list[Correction] = []
     # Inverter fixes apply to stems and branches alike.
-    corrections.append(Correction(line_index,
-                                  CorrectionKind.INSERT_INVERTER))
+    corrections = [Correction(line_index, CorrectionKind.INSERT_INVERTER)]
     if driver_gate.gtype is GateType.NOT:
         corrections.append(Correction(line_index,
                                       CorrectionKind.REMOVE_INVERTER))
-    if not line.is_stem:
-        return corrections
-    if driver_gate.gtype in SOURCE_TYPES or \
+    if not line.is_stem or driver_gate.gtype in SOURCE_TYPES or \
             driver_gate.gtype is GateType.DFF:
-        return corrections
+        return corrections, _predict(state, corrections)
     # Gate type replacement (same fanin count).
     n_in = len(driver_gate.fanin)
     for new_type in REPLACEMENT_CLASSES.get(driver_gate.gtype, ()):
@@ -174,8 +202,10 @@ def design_error_corrections(state: DiagnosisState, line_index: int,
         for pin in range(n_in):
             corrections.append(Correction(
                 line_index, CorrectionKind.BYPASS_GATE, pin=pin))
-    # Wire addition / replacement with bit-parallel-scored sources.
+    # Wire addition / replacement and gate insertion, with sources
+    # scored in one sweep over every signal.
     limit = config.wire_source_limit
+    sweeps, fields = [], []
     if driver_gate.gtype in (GateType.BUF, GateType.NOT):
         # A unary gate may be a degraded multi-input gate; try restoring
         # each plausible identity along with the re-added wire.
@@ -184,61 +214,44 @@ def design_error_corrections(state: DiagnosisState, line_index: int,
                       if inverted
                       else (GateType.AND, GateType.OR, GateType.XOR))
         for promo in promotions:
-            for src in scored_wire_sources(state, line.driver, None,
-                                           limit, as_type=promo):
-                corrections.append(Correction(
-                    line_index, CorrectionKind.ADD_INPUT_WIRE,
-                    other_signal=src, new_type=promo))
+            sweeps.append((*_rewired_core(state, line.driver, None, promo),
+                           limit))
+            fields.append({"kind": CorrectionKind.ADD_INPUT_WIRE,
+                           "new_type": promo})
     else:
-        for src in scored_wire_sources(state, line.driver, None, limit):
-            corrections.append(Correction(
-                line_index, CorrectionKind.ADD_INPUT_WIRE,
-                other_signal=src))
+        sweeps.append((*_rewired_core(state, line.driver, None,
+                                      driver_gate.gtype), limit))
+        fields.append({"kind": CorrectionKind.ADD_INPUT_WIRE})
     for pin in range(n_in):
-        for src in scored_wire_sources(state, line.driver, pin, limit):
-            corrections.append(Correction(
-                line_index, CorrectionKind.REPLACE_INPUT_WIRE,
-                pin=pin, other_signal=src))
+        sweeps.append((*_rewired_core(state, line.driver, pin,
+                                      driver_gate.gtype), limit))
+        fields.append({"kind": CorrectionKind.REPLACE_INPUT_WIRE,
+                       "pin": pin})
     # Missing-gate error: insert a 2-input gate between this line and
-    # its consumers.  Score each promotion type like an add-wire whose
-    # "retained fanin" is the line itself.
+    # its consumers, scored like an add-wire whose "retained fanin" is
+    # the line itself.
     for promo in (GateType.AND, GateType.OR, GateType.XOR):
-        for src in _scored_insert_sources(state, line.driver, promo,
-                                          max(2, limit // 2)):
-            corrections.append(Correction(
-                line_index, CorrectionKind.INSERT_GATE,
-                new_type=promo, other_signal=src))
-    return corrections
-
-
-def _scored_insert_sources(state: DiagnosisState, driver: int,
-                           gtype: GateType, limit: int) -> list[int]:
-    """Source candidates for an INSERT_GATE correction on a stem.
-
-    The inserted gate computes ``gtype(line, src)``; scoring is the same
-    failing-bits-flipped minus passing-bits-corrupted sweep as for wire
-    corrections, with the line itself as the retained operand.
-    """
-    core, invert = _CORE_OF[gtype]
-    base = state.values[driver]
-    new = _combine(base, state.values, core, invert)
-    delta = new ^ base
-    err_flips = row_popcounts(delta & state.err_mask)
-    corr_flips = row_popcounts(delta & state.corr_mask)
-    score = err_flips - corr_flips
-    legal = _legal_sources_mask(state, driver) & (err_flips > 0)
-    if not legal.any():
-        return []
-    sentinel = score.min() - 1
-    score = np.where(legal, score, sentinel)
-    order = np.argsort(score, kind="stable")[::-1]
-    return [int(g) for g in order[:limit] if legal[g]]
+        core, invert = _CORE_OF[promo]
+        sweeps.append((core, invert, state.values[line.driver],
+                       max(2, limit // 2)))
+        fields.append({"kind": CorrectionKind.INSERT_GATE,
+                       "new_type": promo})
+    blocks = [_predict(state, corrections)]
+    for (sources, rows), extra in zip(
+            scored_sources(state, line.driver, sweeps), fields):
+        corrections.extend(Correction(line_index, other_signal=src,
+                                      **extra) for src in sources)
+        blocks.append(rows)
+    return corrections, np.concatenate(blocks)
 
 
 def corrections_for_line(state: DiagnosisState, line_index: int,
-                         config: DiagnosisConfig) -> list[Correction]:
-    """Mode dispatch: the correction vocabulary at one line."""
+                         config: DiagnosisConfig
+                         ) -> tuple[list[Correction], np.ndarray]:
+    """Mode dispatch: the correction vocabulary at one line, with the
+    ``(k, nwords)`` stack of the line words each correction predicts
+    (row *i* belongs to correction *i*)."""
     if config.mode is Mode.STUCK_AT:
-        return stuck_at_corrections(line_index)
+        corrections = stuck_at_corrections(line_index)
+        return corrections, _predict(state, corrections)
     return design_error_corrections(state, line_index, config)
-

@@ -6,13 +6,16 @@ the fan-out cone of l ... Inversion and propagation of all of its values
 emulate the maximum effect any modification to this line can have on the
 circuit.  Once done, we count the number of erroneous primary outputs
 that are rectified and sort all lines according to these counts."
+
+The suspects are node-parallel: up to :data:`H1_SLOTS` of them share one
+slot-packed ``propagate``, each forcing its own stem or pin in its own
+slot and running free in the others (per-slot sites of
+:func:`repro.sim.logicsim.propagate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bitlists import DiagnosisState
 
@@ -30,6 +33,13 @@ class LinePotential:
         return self.score >= h1
 
 
+#: Most suspect lines one heuristic-1 sweep packs.  Every big-int row
+#: of the sweep is this many slots wide, including each suspect's
+#: forced row, so the per-sweep memory grows with its square; wider
+#: packing raised peak RSS without a matching gain in time.
+H1_SLOTS = 32
+
+
 def correcting_potentials(state: DiagnosisState,
                           candidates) -> list[LinePotential]:
     """Heuristic 1 for each line of ``candidates``, in order.
@@ -37,19 +47,25 @@ def correcting_potentials(state: DiagnosisState,
     Only the failing-vector bits are inverted (that is exactly the
     ``Verr`` bit-list); passing vectors are untouched, so the measured
     effect is purely "how many failures could *any* modification of
-    this line possibly repair".  Each suspect costs one event-driven
-    ``propagate`` over its cone; the flip buffer is shared.
+    this line possibly repair".  The flipped rows of all suspects are
+    built at once, and up to :data:`H1_SLOTS` suspects share one
+    slot-packed ``propagate``, slot *s* forcing only suspect *s*.
     """
+    lines = list(candidates)
+    if not lines:
+        return []
     denom = state.num_err_pairs if state.num_err_pairs else 1
-    err_mask = state.err_mask
-    flip = np.empty_like(err_mask)
+    drivers = [state.table[line].driver for line in lines]
+    flips = state.values[drivers] ^ state.err_mask
     out: list[LinePotential] = []
-    for line in candidates:
-        np.bitwise_xor(state.line_values(line), err_mask, out=flip)
-        outcome, = state.outcome_of_override(line, flip)
-        out.append(LinePotential(line, outcome.fixed_pairs,
-                                 outcome.rectified_vectors,
-                                 outcome.fixed_pairs / denom))
+    for start in range(0, len(lines), H1_SLOTS):
+        chunk = lines[start:start + H1_SLOTS]
+        outcomes = state.outcome_of_override(
+            chunk, flips[start:start + H1_SLOTS])
+        for line, outcome in zip(chunk, outcomes):
+            out.append(LinePotential(line, outcome.fixed_pairs,
+                                     outcome.rectified_vectors,
+                                     outcome.fixed_pairs / denom))
     return out
 
 

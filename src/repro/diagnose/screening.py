@@ -21,6 +21,13 @@ propagation over the ``Vcorr`` bit-lists and rejects corrections whose
 kept-correct fraction falls below ``h3``.  Bits are vector-parallel as
 in the paper, and the corrections on one suspect line are
 candidate-parallel too: they share one slot-packed propagate.
+
+The "single simulation step on the gate driving l" is not repeated
+here: the vocabulary (:func:`repro.diagnose.candidates.corrections_for_line`)
+hands every correction over with its predicted line words, most of
+them rows of the source-scoring sweep that picked the correction.
+Exact mode's one-correction screen (:func:`screen_verr`) still
+evaluates the gate itself (:func:`predicted_words`).
 """
 
 from __future__ import annotations
@@ -147,18 +154,21 @@ def screen_verr(state: DiagnosisState, corr: Correction,
 
 
 def screen_corrections(state: DiagnosisState, corrections,
-                       required_bits: int,
+                       words: np.ndarray, required_bits: int,
                        h3: float) -> list[ScreenedCorrection]:
     """Heuristics 2 and 3 over many corrections, one propagate per line.
 
-    Every correction on one line overrides the same stem or ``(sink,
-    pin)``, so all of them travel the same fanout cone.  Each run of
-    consecutive corrections on one line is screened as a batch:
+    ``words`` is the ``(k, nwords)`` stack of predicted line words, row
+    *i* for correction *i*, as
+    :func:`~repro.diagnose.candidates.corrections_for_line` returns it
+    (no correction is re-evaluated here).  Every correction on one line
+    overrides the same stem or ``(sink, pin)``, so all of them travel
+    the same fanout cone.  Each run of consecutive corrections on one
+    line is screened as a batch:
 
-    1. the predicted line words are stacked, and every heuristic-2
-       count (``Verr`` bits complemented) comes from one row popcount;
-       counts below ``max(required_bits, 1)`` are rejected, which also
-       drops no-ops;
+    1. every heuristic-2 count (``Verr`` bits complemented) comes from
+       one row popcount of the run's words; counts below
+       ``max(required_bits, 1)`` are rejected, which also drops no-ops;
     2. the survivors share one slot-packed propagate
        (:meth:`DiagnosisState.outcome_of_override`), which gives each
        one's rectified, broken and fixed-pair counts;
@@ -166,40 +176,39 @@ def screen_corrections(state: DiagnosisState, corrections,
        below ``h3``; ``h3 <= 0`` disables it (exact mode uses this so no
        valid tuple is pruned).
 
-    Structurally impossible corrections are dropped.  Survivors keep
-    their input order.
+    Survivors keep their input order and own their rows.
     """
+    corrections = list(corrections)
     survivors: list[ScreenedCorrection] = []
+    start = 0
     for line, run in groupby(corrections, key=attrgetter("line")):
-        survivors.extend(_screen_line(state, line, run, required_bits, h3))
+        stop = start + sum(1 for _corr in run)
+        survivors.extend(_screen_line(state, line, corrections[start:stop],
+                                      words[start:stop], required_bits,
+                                      h3))
+        start = stop
     return survivors
 
 
-def _screen_line(state: DiagnosisState, line: int, corrections,
-                 required_bits: int, h3: float) -> list[ScreenedCorrection]:
+def _screen_line(state: DiagnosisState, line: int, corrections: list,
+                 words: np.ndarray, required_bits: int,
+                 h3: float) -> list[ScreenedCorrection]:
     """:func:`screen_corrections` for corrections all on ``line``."""
-    predicted = []
-    for corr in corrections:
-        words = predicted_words(state, corr)
-        if words is not None:
-            predicted.append((corr, words))
-    if not predicted:
-        return []
-    stack = np.stack([words for _corr, words in predicted])
-    flips = row_popcounts((stack ^ state.line_values(line))
+    flips = row_popcounts((words ^ state.line_values(line))
                           & state.err_mask).tolist()
     need = max(required_bits, 1)
     keep = [i for i, count in enumerate(flips) if count >= need]
     if not keep:
         return []
-    outcomes = state.outcome_of_override(line, stack[keep])
+    outcomes = state.outcome_of_override(line, words[keep])
     survivors = []
     for i, outcome in zip(keep, outcomes):
         h3_score = outcome.h3_score(state)
         if h3 > 0 and h3_score < h3:
             continue
-        corr, words = predicted[i]
+        # An owned row: a view would keep the whole stack alive for as
+        # long as the tree holds this correction.
         survivors.append(ScreenedCorrection(
-            corr, words, flips[i], outcome, outcome.h1_score(state),
-            h3_score))
+            corrections[i], words[i].copy(), flips[i], outcome,
+            outcome.h1_score(state), h3_score))
     return survivors

@@ -138,14 +138,16 @@ class DecisionTree:
         potentials = rank_lines(state, candidate_lines, self.h.h1)
         if self.invariants:
             self.invariants.check_lines_live(state, candidate_lines)
+            self.invariants.check_potentials(state, potentials)
         t1 = clock.now()
         self.stats.diag_time += t1 - t0
         required = max(1, int(self.h.h2 * state.num_err))
         screened: list[ScreenedCorrection] = []
         for pot in potentials:
-            survivors = screen_corrections(
-                state, corrections_for_line(state, pot.line, config),
-                required, self.h.h3)
+            corrections, words = corrections_for_line(state, pot.line,
+                                                      config)
+            survivors = screen_corrections(state, corrections, words,
+                                           required, self.h.h3)
             if self.invariants:
                 self.invariants.check_screen(state, survivors)
             screened.extend(survivors)

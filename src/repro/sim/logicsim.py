@@ -13,7 +13,9 @@ entry points:
   vectors).  Overrides may carry k slots — one per candidate — so that
   every correction on one suspect line shares a single sweep of its
   fanout cone: candidate parallelism on top of the 64-way vector
-  parallelism, as in parallel-fault simulation.
+  parallelism, as in parallel-fault simulation.  A site may also be
+  forced in only some slots (*per-slot sites*), so k suspect lines,
+  each inverted in its own slot, share one sweep of their cones too.
 
 :func:`propagate` is an *event-driven* kernel: a worklist seeded from
 the overridden stems/pins is drained level by level (every fanin sits on
@@ -139,7 +141,8 @@ def output_rows(netlist: Netlist, values: np.ndarray) -> np.ndarray:
 def propagate(netlist: Netlist, values: np.ndarray,
               stem_overrides: Mapping[int, np.ndarray] | None = None,
               pin_overrides: Mapping[tuple, np.ndarray] | None = None,
-              base_ints: dict | None = None) -> dict:
+              base_ints: dict | None = None,
+              forced_slots: Mapping | None = None) -> dict:
     """Re-simulate the fanout cone of the overridden signals.
 
     Event-driven: only gates reachable from an actual value change are
@@ -157,6 +160,17 @@ def propagate(netlist: Netlist, values: np.ndarray,
     baseline ride along for free.  Every override must have the same
     shape.
 
+    **Per-slot sites.**  By default an override forces its site in
+    every slot.  ``forced_slots`` maps a site (a key of
+    ``stem_overrides`` or ``pin_overrides``) to the slots it forces; in
+    its other slots the site runs free and the stack's rows there are
+    ignored.  So k hypotheses on k *different* sites share one sweep,
+    slot *s* forcing only its own site (heuristic 1 inverts one suspect
+    line per slot).  A partly forced stem that lies downstream of
+    another slot's site is re-evaluated for its free slots, then
+    re-forced in its own, so its returned row holds the real value of
+    every slot.  A stem forced in every slot is never evaluated.
+
     Args:
         values: baseline value matrix from :func:`simulate` (not modified).
         stem_overrides: {signal: packed words} forced for all consumers.
@@ -167,6 +181,9 @@ def propagate(netlist: Netlist, values: np.ndarray,
             same rows hundreds of times otherwise).  Must be dropped when
             ``values`` changes; ``DiagnosisState`` holds one per value
             matrix.  Only single-row calls use it.
+        forced_slots: optional {site: slot indices} restricting an
+            override to some slots (stacks only); sites missing from it
+            are forced in every slot.
 
     Returns:
         {gate_index: new packed words} for every gate whose value differs
@@ -189,7 +206,29 @@ def propagate(netlist: Netlist, values: np.ndarray,
         if words.shape != shape:
             raise SimulationError(
                 f"override shapes differ: {words.shape} vs {shape}")
-    ones = (1 << (64 * nwords * slots)) - 1
+    width = 64 * nwords
+    ones = (1 << (width * slots)) - 1
+    # Partly forced sites: the bits of their free slots, and their
+    # forced rows (zero in the free slots).
+    keep_of: dict = {}
+    forced_of: dict = {}
+    for site, chosen in (forced_slots or {}).items():
+        stack = (pin_overrides if isinstance(site, tuple)
+                 else stem_overrides).get(site)
+        if stack is None or stack.ndim != 2:
+            raise SimulationError(
+                f"forced_slots names {site!r}, which has no stacked "
+                f"override")
+        mask = forced = 0
+        for s in chosen:
+            if not 0 <= s < slots:
+                raise SimulationError(
+                    f"slot {s} of {site!r} outside 0..{slots - 1}")
+            mask |= ((1 << width) - 1) << (width * s)
+            forced |= _row_to_int(stack[s]) << (width * s)
+        if mask != ones:
+            keep_of[site] = ones ^ mask
+            forced_of[site] = forced
     base = base_ints if base_ints is not None and slots == 1 else {}
     base_get = base.get
     cur: dict[int, int] = {}      # overridden/changed rows, as ints
@@ -211,20 +250,25 @@ def propagate(netlist: Netlist, values: np.ndarray,
         bucket.append(idx)
 
     for sig, words in stem_overrides.items():
-        forced = _row_to_int(words)
-        cur[sig] = forced
         b = base_get(sig)
         if b is None:
             base[sig] = b = _row_to_int(values[sig], slots)
+        keep = keep_of.get(sig)
+        forced = (_row_to_int(words) if keep is None
+                  else (b & keep) | forced_of[sig])
+        cur[sig] = forced
         if forced == b:
             continue  # no event: downstream cannot change
         for sink in efanouts[sig]:
             schedule(sink)
-    pins_by_sink: dict[int, dict[int, int]] = {}
+    pins_by_sink: dict[int, dict] = {}
     for (sink, pin), words in pin_overrides.items():
         if gates[sink].gtype in _PASSIVE_TYPES:
             continue  # sources hold their value; DFF edges are sequential
-        pins_by_sink.setdefault(sink, {})[pin] = _row_to_int(words)
+        keep = keep_of.get((sink, pin))
+        pins_by_sink.setdefault(sink, {})[pin] = (
+            _row_to_int(words) if keep is None
+            else (keep, forced_of[(sink, pin)]))
         schedule(sink)
 
     # Every scheduled gate is evaluable: event fanouts exclude DFFs, and
@@ -232,8 +276,8 @@ def propagate(netlist: Netlist, values: np.ndarray,
     while level_heap:
         lev = heapq.heappop(level_heap)
         for idx in buckets.pop(lev):
-            if idx in stem_overrides:
-                continue  # forced value, do not recompute
+            if idx in stem_overrides and idx not in keep_of:
+                continue  # forced in every slot, do not recompute
             pin_map = pins_by_sink.get(idx) if pins_by_sink else None
             op, invert = ops[idx]
             acc = None
@@ -246,6 +290,14 @@ def propagate(netlist: Netlist, values: np.ndarray,
                         if val is None:
                             base[src] = val = _row_to_int(values[src],
                                                           slots)
+                elif val.__class__ is tuple:  # pin forced in some slots
+                    free = cur_get(src)
+                    if free is None:
+                        free = base_get(src)
+                        if free is None:
+                            base[src] = free = _row_to_int(values[src],
+                                                           slots)
+                    val = (free & val[0]) | val[1]
                 if acc is None:
                     acc = val
                 elif op == 0:
@@ -259,6 +311,15 @@ def propagate(netlist: Netlist, values: np.ndarray,
             b = base_get(idx)
             if b is None:
                 base[idx] = b = _row_to_int(values[idx], slots)
+            if keep_of and idx in keep_of:
+                # A partly forced stem: free slots take the evaluated
+                # value, its own slots stay forced.
+                acc = (acc & keep_of[idx]) | forced_of[idx]
+                cur[idx] = acc
+                if acc != b:
+                    for sink in efanouts[idx]:
+                        schedule(sink)
+                continue
             if acc == b:
                 continue  # event dies here; fanouts never scheduled by us
             cur[idx] = acc
@@ -266,17 +327,20 @@ def propagate(netlist: Netlist, values: np.ndarray,
             for sink in efanouts[idx]:
                 schedule(sink)
     changed: dict = dict(stem_overrides)
-    if diff:
-        # One buffer + one frombuffer for all changed rows (the returned
+    # Partly forced stems report their real rows, not their stacks.
+    emit = diff + [sig for sig in stem_overrides
+                   if sig in keep_of] if keep_of else diff
+    if emit:
+        # One buffer + one frombuffer for all emitted rows (the returned
         # rows are views into it), instead of a numpy call per row.
         nbytes = nwords * slots * 8
         buf = b"".join(cur[idx].to_bytes(nbytes, "little")
-                       for idx in diff)
+                       for idx in emit)
         rows = np.frombuffer(bytearray(buf), dtype=np.uint64)
-        rows = rows.reshape((len(diff),) + shape)
+        rows = rows.reshape((len(emit),) + shape)
         if not _LITTLE_ENDIAN:
             rows = rows.byteswap()
-        for i, idx in enumerate(diff):
+        for i, idx in enumerate(emit):
             changed[idx] = rows[i]
     return changed
 

@@ -5,10 +5,21 @@ single-row propagate and outcome summary per survivor, then heuristic
 3.  The library screens all corrections on a suspect line in one
 slot-packed sweep (:func:`repro.diagnose.screening.screen_corrections`);
 the tests check it against this oracle field for field.
+:func:`predicted_stack` builds that screen's words argument for a
+hand-made correction list, one gate evaluation per correction.
 """
+
+import numpy as np
 
 from repro.diagnose.screening import (ScreenedCorrection, predicted_words,
                                       screen_verr)
+
+
+def predicted_stack(state, corrections) -> np.ndarray:
+    """``(k, nwords)`` predicted line words, row *i* for correction *i*
+    (every correction must be buildable)."""
+    return np.stack([predicted_words(state, corr)
+                     for corr in corrections])
 
 
 def evaluate_correction(state, corr, required_bits: int, h3: float):

@@ -1,11 +1,26 @@
-"""Heuristic 1: invert-and-propagate correcting potential."""
+"""Heuristic 1: invert-and-propagate correcting potential.
 
+The library packs up to ``H1_SLOTS`` suspect lines into one multi-site
+propagate; :func:`oracle_potentials` is the per-line reference loop it
+is checked against.
+"""
+
+import dataclasses
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analyze.invariants import InvariantChecker
 from repro.circuit import generators
-from repro.diagnose import (DiagnosisState, correcting_potentials,
-                            rank_lines)
-from repro.faults import inject_stuck_at_faults
+from repro.diagnose import (DiagnosisConfig, DiagnosisState, LinePotential,
+                            Mode, corrections_for_line,
+                            correcting_potentials, rank_lines)
+from repro.diagnose.candidates import is_correctable_line
+from repro.diagnose.potential import H1_SLOTS
+from repro.errors import InvariantViolation
+from repro.faults import (inject_stuck_at_faults,
+                          observable_design_error_workload)
+from repro.faults.models import apply_correction
 from repro.sim import PatternSet, output_rows, simulate
 
 
@@ -58,3 +73,65 @@ def test_rank_lines_orders_and_filters(c17):
     # the true fault line survives the strictest threshold
     line = truth_line(state, c17, workload)
     assert line in [p.line for p in strict]
+
+
+def oracle_potentials(state, lines):
+    """Per-line reference for heuristic 1: one one-row propagate of each
+    line's inverted ``Verr`` bits."""
+    denom = state.num_err_pairs if state.num_err_pairs else 1
+    out = []
+    for line in lines:
+        outcome, = state.outcome_of_override(
+            line, state.line_values(line) ^ state.err_mask)
+        out.append(LinePotential(line, outcome.fixed_pairs,
+                                 outcome.rectified_vectors,
+                                 outcome.fixed_pairs / denom))
+    return out
+
+
+def dedc_states(spec, nbits, seed):
+    """A DEDC root state and two children, one correction deeper."""
+    patterns = PatternSet.random(spec.num_inputs, nbits, seed=seed)
+    workload = observable_design_error_workload(spec, 2, patterns,
+                                                seed=seed)
+    spec_out = output_rows(spec, simulate(spec, patterns))
+    root = DiagnosisState(workload.impl, patterns, spec_out)
+    config = DiagnosisConfig(mode=Mode.DESIGN_ERROR)
+    states = [root]
+    for line in (0, len(root.table) // 2):
+        corrs, words = corrections_for_line(root, line, config)
+        child_netlist = root.netlist.copy()
+        apply_correction(child_netlist, root.table, corrs[0])
+        states.append(root.child(child_netlist, corrs[0], words[0]))
+    return states
+
+
+@pytest.mark.parametrize("nbits", (1, 63, 64, 65, 300))
+@pytest.mark.parametrize("name", ("c17", "rca8", "ecc8"))
+def test_packed_potentials_equal_per_line_oracle(name, nbits):
+    """More suspects than one sweep packs (rca8 and ecc8 have over
+    ``H1_SLOTS`` lines), stems and branches mixed, in a scrambled order
+    with a repeated line."""
+    spec = {"c17": generators.c17,
+            "rca8": lambda: generators.ripple_carry_adder(8),
+            "ecc8": lambda: generators.hamming_corrector(8)}[name]()
+    for state in dedc_states(spec, nbits, seed=nbits):
+        lines = [line for line in range(len(state.table))
+                 if is_correctable_line(state, line)]
+        lines = lines[1::2] + lines[::2] + lines[:1]
+        packed = correcting_potentials(state, lines)
+        assert packed == oracle_potentials(state, lines)
+        InvariantChecker().check_potentials(state, packed)
+    assert len(lines) > H1_SLOTS or name == "c17"
+
+
+def test_check_potentials_trips_on_a_corrupted_potential():
+    spec = generators.ripple_carry_adder(8)
+    state = dedc_states(spec, 200, seed=4)[0]
+    ranked = rank_lines(state, range(len(state.table)), h1=0.0)
+    checker = InvariantChecker()
+    checker.check_potentials(state, ranked)  # the honest ranking passes
+    bad = dataclasses.replace(ranked[-1],
+                              fixed_pairs=ranked[-1].fixed_pairs + 1)
+    with pytest.raises(InvariantViolation, match="packed heuristic 1"):
+        checker.check_potentials(state, ranked[:-1] + [bad])

@@ -4,6 +4,7 @@ from repro.diagnose import (DiagnosisState, rank_corrections, rank_value,
                             screen_corrections, stuck_at_corrections)
 from repro.faults import inject_stuck_at_faults
 from repro.sim import PatternSet, output_rows, simulate
+from tests.diagnose.screening_oracle import predicted_stack
 
 
 def test_rank_value_formula():
@@ -28,8 +29,10 @@ def test_rank_corrections_sorted_and_true_fix_on_top(c17):
     state = DiagnosisState(c17, patterns, device_out)
     screened = []
     for line in range(len(state.table)):
-        screened += screen_corrections(state, stuck_at_corrections(line),
-                                       1, h3=0.0)
+        corrections = stuck_at_corrections(line)
+        screened += screen_corrections(
+            state, corrections, predicted_stack(state, corrections), 1,
+            h3=0.0)
     ranked = rank_corrections(state, screened)
     values = [v for v, _ in ranked]
     assert values == sorted(values, reverse=True)

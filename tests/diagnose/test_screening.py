@@ -9,7 +9,8 @@ from repro.diagnose import (DiagnosisState, screen_corrections,
 from repro.faults import inject_stuck_at_faults
 from repro.faults.models import Correction, CorrectionKind
 from repro.sim import PatternSet, output_rows, simulate
-from tests.diagnose.screening_oracle import evaluate_correction
+from tests.diagnose.screening_oracle import (evaluate_correction,
+                                             predicted_stack)
 
 
 def test_theorem1_bound_values():
@@ -141,8 +142,9 @@ def test_fig1_scenario():
     l1_line = state.table.stem(impl.index_of("l1")).index
     fix1 = Correction(l1_line, CorrectionKind.GATE_REPLACE,
                       new_type=GateType.AND)
-    sc, = screen_corrections(state, [fix1], 1, h3=0.0)
+    words = predicted_stack(state, [fix1])
+    sc, = screen_corrections(state, [fix1], words, 1, h3=0.0)
     assert sc.outcome.broken_vectors > 0      # Fig. 1's phenomenon
     assert sc.h3_score < 1.0
     # and with an intolerant h3 the valid fix would be lost:
-    assert screen_corrections(state, [fix1], 1, h3=1.0) == []
+    assert screen_corrections(state, [fix1], words, 1, h3=1.0) == []

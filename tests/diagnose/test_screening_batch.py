@@ -21,7 +21,7 @@ from repro.errors import InvariantViolation
 from repro.faults import observable_design_error_workload
 from repro.faults.models import Correction, CorrectionKind, apply_correction
 from repro.sim import PatternSet, output_rows, simulate
-from tests.diagnose.screening_oracle import oracle_screen
+from tests.diagnose.screening_oracle import oracle_screen, predicted_stack
 
 SPECS = {
     "c17": generators.c17,
@@ -41,11 +41,8 @@ def dedc_root(name, seed):
 
 
 def line_vocabulary(state, line):
-    """The line's DEDC corrections plus two that cannot be built (a
-    non-inverter inverter removal, a pinless bypass)."""
-    return corrections_for_line(state, line, CONFIG) + [
-        Correction(line, CorrectionKind.REMOVE_INVERTER),
-        Correction(line, CorrectionKind.BYPASS_GATE)]
+    """The line's DEDC corrections and their predicted words."""
+    return corrections_for_line(state, line, CONFIG)
 
 
 def node_states(name, seed):
@@ -57,7 +54,7 @@ def node_states(name, seed):
             break
         if not is_correctable_line(root, line):
             continue
-        for sc in screen_corrections(root, line_vocabulary(root, line),
+        for sc in screen_corrections(root, *line_vocabulary(root, line),
                                      1, 0.0)[:1]:
             child_netlist = root.netlist.copy()
             apply_correction(child_netlist, root.table, sc.correction)
@@ -89,7 +86,7 @@ def test_batched_screen_equals_oracle(name, seed):
         lines = [line for line in range(len(state.table))
                  if is_correctable_line(state, line)]
         for line in lines[::3]:
-            corrections = line_vocabulary(state, line)
+            corrections, words = line_vocabulary(state, line)
             flips = [sc.complemented
                      for sc in oracle_screen(state, corrections, 1, 0.0)]
             # required_bits at the edge: exactly some correction's
@@ -99,8 +96,8 @@ def test_batched_screen_equals_oracle(name, seed):
             for required in sorted(edges):
                 for h3 in (0.0, 0.9):
                     assert_same_screen(
-                        screen_corrections(state, corrections, required,
-                                           h3),
+                        screen_corrections(state, corrections, words,
+                                           required, h3),
                         oracle_screen(state, corrections, required, h3))
                     screens += 1
     assert screens > 0
@@ -110,20 +107,13 @@ def test_batched_screen_keeps_order_across_interleaved_lines():
     state = dedc_root("rca8", 0)
     lines = [line for line in range(len(state.table))
              if is_correctable_line(state, line)][:4]
-    vocab = [line_vocabulary(state, line) for line in lines]
-    interleaved = [corr for group in zip(*vocab) for corr in group]
-    assert_same_screen(screen_corrections(state, interleaved, 1, 0.5),
-                       oracle_screen(state, interleaved, 1, 0.5))
-
-
-def test_injection_errors_are_dropped():
-    state = dedc_root("c17", 0)
-    line = next(l.index for l in state.table
-                if state.netlist.gates[l.driver].gtype.name != "NOT")
-    impossible = [Correction(line, CorrectionKind.REMOVE_INVERTER),
-                  Correction(line, CorrectionKind.BYPASS_GATE)]
-    assert screen_corrections(state, impossible, 1, 0.0) == []
-    assert oracle_screen(state, impossible, 1, 0.0) == []
+    vocab = [list(zip(*line_vocabulary(state, line))) for line in lines]
+    interleaved = [pair for group in zip(*vocab) for pair in group]
+    corrections = [corr for corr, _row in interleaved]
+    words = np.stack([row for _corr, row in interleaved])
+    assert_same_screen(screen_corrections(state, corrections, words, 1,
+                                          0.5),
+                       oracle_screen(state, corrections, 1, 0.5))
 
 
 def test_invariant_checker_trips_on_a_corrupted_slot(monkeypatch):
@@ -132,8 +122,8 @@ def test_invariant_checker_trips_on_a_corrupted_slot(monkeypatch):
     state = dedc_root("rca8", 1)
     checker = InvariantChecker()
     for line in range(len(state.table)):
-        corrections = line_vocabulary(state, line)
-        survivors = screen_corrections(state, corrections, 1, 0.0)
+        corrections, words = line_vocabulary(state, line)
+        survivors = screen_corrections(state, corrections, words, 1, 0.0)
         if len(survivors) >= 2 and not survivors[1].fixes_all:
             break
     else:
@@ -156,7 +146,7 @@ def test_invariant_checker_trips_on_a_corrupted_slot(monkeypatch):
         return changed
 
     monkeypatch.setattr(bitlists, "propagate", corrupt_slot_1)
-    corrupted = screen_corrections(state, corrections, 1, 0.0)
+    corrupted = screen_corrections(state, corrections, words, 1, 0.0)
     monkeypatch.undo()
     assert corrupted[1].fixes_all
     with pytest.raises(InvariantViolation, match="batched screen"):
@@ -182,7 +172,9 @@ def test_padding_bits_never_count():
     other = Correction(line, CorrectionKind.GATE_REPLACE,
                        new_type=GateType.OR)
     for corrections in ([fix], [fix, other]):
-        batched = screen_corrections(state, corrections, 1, 0.0)
+        batched = screen_corrections(state, corrections,
+                                     predicted_stack(state, corrections),
+                                     1, 0.0)
         assert_same_screen(batched,
                            oracle_screen(state, corrections, 1, 0.0))
         assert batched[0].fixes_all

@@ -10,9 +10,12 @@ two independent references on randomized netlists and overrides:
 Pattern counts deliberately straddle the 64-bit word boundary
 (1, 63, 64, 65, 1000) so tail-padding handling is exercised.  The
 slot-packed form (k override rows per site, one sweep) is checked slot
-by slot against one-row propagates.
+by slot against one-row propagates, and so is its multi-site form
+(``forced_slots``: each slot forces its own sites), also against the
+full re-simulation.
 """
 
+import functools
 import random
 
 import numpy as np
@@ -241,3 +244,185 @@ def test_override_shapes_must_agree():
         propagate(circuit, values,
                   stem_overrides={a: np.stack([values[a]] * 2),
                                   b: values[b]})
+
+
+# ---------------------------------------------------------------------------
+# Per-slot sites: slot *s* forces only the sites listed for it.
+# ---------------------------------------------------------------------------
+
+def packed_sites(rng, values, slot_sites):
+    """Stacks and ``forced_slots`` for per-slot site overrides.
+
+    ``slot_sites[s]`` maps each site slot *s* forces to its row.  Every
+    other slot of a site's stack holds a random row, which the kernel
+    must ignore.
+    """
+    nwords = values.shape[1]
+    slots = len(slot_sites)
+    stems, pins, forced = {}, {}, {}
+    for s, sites in enumerate(slot_sites):
+        for site, row in sites.items():
+            target = pins if isinstance(site, tuple) else stems
+            if site not in target:
+                target[site] = np.stack([random_row(rng, nwords)
+                                         for _ in range(slots)])
+            target[site][s] = row
+            forced.setdefault(site, []).append(s)
+    return stems, pins, forced
+
+
+def assert_per_slot_sites(circuit, values, rng, slot_sites):
+    """The packed multi-site sweep equals, slot by slot, a one-row
+    propagate and the full re-simulation of that slot's sites."""
+    stems, pins, forced = packed_sites(rng, values, slot_sites)
+    packed = propagate(circuit, values, stem_overrides=stems,
+                       pin_overrides=pins, forced_slots=forced)
+    singles = []
+    for sites in slot_sites:
+        slot_stems = {k: v for k, v in sites.items()
+                      if not isinstance(k, tuple)}
+        slot_pins = {k: v for k, v in sites.items() if isinstance(k, tuple)}
+        single = propagate(circuit, values, stem_overrides=slot_stems,
+                           pin_overrides=slot_pins)
+        assert_same_changes(single, resim_oracle(circuit, values,
+                                                 slot_stems, slot_pins))
+        singles.append(single)
+    assert_slots_match(circuit, values, packed, singles)
+    return packed
+
+
+def random_site(rng, circuit, with_fanin):
+    if rng.random() < 0.5:
+        return rng.randrange(len(circuit.gates))
+    sink = rng.choice(with_fanin)
+    return (sink, rng.randrange(len(circuit.gates[sink].fanin)))
+
+
+@pytest.mark.parametrize("nbits", NBITS_CASES)
+@pytest.mark.parametrize("slots", (2, 7, 32))
+def test_per_slot_sites_match_one_row_propagates(slots, nbits):
+    circuit = generators.random_dag(6, 80, 6, seed=slots)
+    patterns = PatternSet.random(6, nbits, seed=slots)
+    values = simulate(circuit, patterns)
+    rng = random.Random(1000 * slots + nbits)
+    with_fanin = [g.index for g in circuit.gates if g.fanin]
+    for _trial in range(3):
+        slot_sites = []
+        for s in range(slots):
+            sites = {}
+            for _site in range(rng.randint(0, 2)):
+                site = random_site(rng, circuit, with_fanin)
+                sites[site] = random_row(rng, patterns.num_words)
+            slot_sites.append(sites)
+        assert_per_slot_sites(circuit, values, rng, slot_sites)
+
+
+@pytest.mark.parametrize("nbits", NBITS_CASES)
+def test_stem_and_branch_of_one_driver_in_different_slots(nbits):
+    circuit = generators.random_dag(6, 80, 6, seed=11)
+    patterns = PatternSet.random(6, nbits, seed=11)
+    values = simulate(circuit, patterns)
+    rng = random.Random(nbits)
+    fanouts = circuit.fanouts()
+    driver = next(g.index for g in circuit.gates
+                  if len(fanouts[g.index]) > 1)
+    sink = fanouts[driver][0]
+    pin = circuit.gates[sink].fanin.index(driver)
+    flip = values[driver] ^ np.uint64(0xFFFFFFFFFFFFFFFF)
+    assert_per_slot_sites(circuit, values, rng,
+                          [{driver: flip}, {(sink, pin): flip}, {}])
+
+
+@pytest.mark.parametrize("nbits", NBITS_CASES)
+def test_site_downstream_of_another_slots_site(nbits):
+    """Slot 1 forces a stem inside slot 0's cone: slot 0 must see it
+    re-evaluated, slot 1 forced, and its returned row holds both."""
+    circuit = generators.random_dag(6, 80, 6, seed=12)
+    patterns = PatternSet.random(6, nbits, seed=12)
+    values = simulate(circuit, patterns)
+    rng = random.Random(nbits)
+    ones = np.uint64(0xFFFFFFFFFFFFFFFF)
+    for upstream in circuit.inputs:
+        cone = sorted(circuit.fanout_cone(upstream) - {upstream})
+        downstream = [g for g in cone if circuit.gates[g].fanin]
+        if len(downstream) >= 2:
+            break
+    low, high = downstream[0], downstream[-1]
+    sink = high
+    pin = 0
+    slot_sites = [{upstream: values[upstream] ^ ones},
+                  {low: values[low] ^ ones},
+                  {(sink, pin): random_row(rng, patterns.num_words)},
+                  {high: values[high] ^ ones, upstream: values[upstream]}]
+    packed = assert_per_slot_sites(circuit, values, rng, slot_sites)
+    reference = resim_oracle(circuit, values,
+                             {upstream: values[upstream] ^ ones})
+    assert np.array_equal(packed[low][0], lookup(reference, values, low))
+    assert np.array_equal(packed[low][1], values[low] ^ ones)
+
+
+@pytest.mark.parametrize("nbits", NBITS_CASES)
+def test_primary_output_and_input_sites(nbits):
+    """A primary input forced in one slot drives a primary output that
+    other slots force, or override on a pin."""
+    circuit = generators.random_dag(6, 80, 6, seed=13)
+    patterns = PatternSet.random(6, nbits, seed=13)
+    values = simulate(circuit, patterns)
+    rng = random.Random(nbits)
+    pi = circuit.inputs[0]
+    po = next(out for out in circuit.outputs
+              if out in circuit.fanout_cone(pi))
+    row = functools.partial(random_row, rng, patterns.num_words)
+    assert_per_slot_sites(
+        circuit, values, rng,
+        [{po: row()}, {pi: row()}, {pi: row(), po: row()},
+         {(po, 0): row()}, {}])
+
+
+def test_per_slot_pin_into_dff_is_inert():
+    circuit = generators.random_sequential(6, 60, 5, 4, seed=5)
+    patterns = PatternSet.random(6, 100, seed=5)
+    values = simulate(circuit, patterns)
+    rng = random.Random(5)
+    ff = circuit.dffs()[0]
+    src = circuit.gates[ff].fanin[0]
+    row = functools.partial(random_row, rng, patterns.num_words)
+    packed = assert_per_slot_sites(
+        circuit, values, rng,
+        [{(ff, 0): row()}, {src: row()}, {(ff, 0): row(), src: row()}])
+    assert ff not in packed
+
+
+@pytest.mark.parametrize("nbits", (63, 65))
+def test_per_slot_override_equal_to_baseline(nbits):
+    """A slot forcing its site to the baseline row changes nothing in
+    that slot, even when another slot's site drives the same cone."""
+    circuit = generators.random_dag(5, 50, 4, seed=9)
+    patterns = PatternSet.random(5, nbits, seed=9)
+    values = simulate(circuit, patterns)
+    rng = random.Random(nbits)
+    a, b = circuit.inputs[:2]
+    packed = assert_per_slot_sites(
+        circuit, values, rng,
+        [{a: values[a].copy()}, {b: random_row(rng, patterns.num_words)}])
+    for idx, rows in packed.items():
+        if idx != b:
+            assert np.array_equal(rows[0], values[idx]), idx
+    only_baseline = propagate(
+        circuit, values, stem_overrides={a: np.stack([values[a]] * 3)},
+        forced_slots={a: [1]})
+    assert set(only_baseline) == {a}
+
+
+def test_forced_slots_must_name_stacked_overrides():
+    circuit = generators.random_dag(5, 50, 4, seed=9)
+    patterns = PatternSet.random(5, 65, seed=9)
+    values = simulate(circuit, patterns)
+    a, b = circuit.inputs[:2]
+    stack = np.stack([values[a]] * 2)
+    with pytest.raises(SimulationError):
+        propagate(circuit, values, stem_overrides={a: stack},
+                  forced_slots={b: [0]})
+    with pytest.raises(SimulationError):
+        propagate(circuit, values, stem_overrides={a: stack},
+                  forced_slots={a: [2]})
