@@ -5,7 +5,7 @@
     python benchmarks/harness.py --smoke --out FILE     # reduced CI run
     python benchmarks/harness.py --check BENCH_layers.json
 
-Each suite module under ``layers/`` (sim, analyze, prove, seq, incr and
+Each suite module under ``layers/`` (sim, analyze, prove, seq and
 testability) builds its own workloads and exports three names:
 
 * ``REQUIRED`` — ``{record kind: required keys}``;
@@ -38,7 +38,7 @@ from repro.circuit import generators
 
 HERE = Path(__file__).resolve().parent
 SCHEMA = "repro.bench_layers/1"
-SUITES = ("sim", "analyze", "prove", "seq", "incr", "testability")
+SUITES = ("sim", "analyze", "prove", "seq", "testability")
 PROVENANCE = ("git_sha", "python", "cpus")
 
 #: Size multiplier of the generated suite circuits the analysis suites

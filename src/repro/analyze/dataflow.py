@@ -41,11 +41,11 @@ finite lattice attached to every signal.  This module provides:
 
 The facts are cached on the netlist itself (``netlist._facts``) and
 stamped with the netlist's edit-journal version: :func:`netlist_facts`
-returns the cached bundle while the version matches, *repairs* it from
-the recorded :class:`~repro.circuit.delta.NetlistDelta` (see
-:mod:`repro.analyze.incremental`) when the journal can describe what
-changed, and recomputes from scratch only on a full invalidation
-(:meth:`Netlist._dirty`).  Consumers: the deep lint rules
+returns the cached bundle while the version matches and installs a
+fresh lazy bundle after any mutation.  The one warm path is the
+diagnosis search's child copy, whose constants and observability
+:mod:`repro.analyze.incremental` carries over from the parent's bundle.
+Consumers: the deep lint rules
 (:mod:`repro.analyze.rules_deep`), the rewired ``const-feed`` /
 ``unobservable-line`` semantic rules, the static suspect pre-screen in
 :mod:`repro.diagnose.screening`, and the ``repro facts`` CLI.
@@ -448,17 +448,10 @@ class Implications:
         n = len(netlist.gates)
         self.num_nodes = 2 * n
         self._succ: List[List[int]] = [[] for _ in range(self.num_nodes)]
-        # Direct edges recorded per gate so a repair can retract exactly
-        # the edges an edited gate contributed (repro.analyze.incremental).
-        self._gate_edges: Dict[int, List[Tuple[int, int]]] = {}
         self._build(netlist)
         self._reach = self._close()
         self._impossible = self._find_impossible(constants)
         self.implied_constants = self._implied_constants()
-        #: Literal nodes whose reachability set the last delta repair
-        #: recomputed (``None`` for a scratch build) — lets downstream
-        #: repairs (testability verdicts) re-derive only what moved.
-        self.repair_affected: Optional[frozenset] = None
 
     # -- construction --------------------------------------------------
     def _edge(self, u: int, w: int) -> None:
@@ -504,11 +497,8 @@ class Implications:
 
     def _build(self, netlist: Netlist) -> None:
         for gate in netlist.gates:
-            edges = self.edges_for_gate(gate)
-            if edges:
-                self._gate_edges[gate.index] = edges
-                for u, w in edges:
-                    self._edge(u, w)
+            for u, w in self.edges_for_gate(gate):
+                self._edge(u, w)
 
     # -- closure -------------------------------------------------------
     def _close(self) -> List[int]:
@@ -673,11 +663,10 @@ class NetlistFacts:
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
         #: Edit-journal version this bundle describes; when the netlist
-        #: moves past it, :func:`netlist_facts` repairs or recomputes.
+        #: moves past it, :func:`netlist_facts` starts a fresh bundle.
         self.version: int = netlist._version
         self._constants: Optional[Dict[int, int]] = None
         self._literals: Optional[List[Tuple[int, bool]]] = None
-        self._lit_domain: Optional[_StructuralClasses] = None
         self._implications: Optional[Implications] = None
         self._observable: Optional[frozenset] = None
         self._dominators: Optional[List[Optional[int]]] = None
@@ -738,7 +727,6 @@ class NetlistFacts:
                 [self.constants().get(i)
                  for i in range(len(self.netlist.gates))])
             self._literals = run_dataflow(self.netlist, domain)
-            self._lit_domain = domain
         return self._literals
 
     def duplicate_groups(self) -> List[List[int]]:
@@ -758,9 +746,8 @@ class NetlistFacts:
             if lit[0] == _CONST_CLASS:
                 continue
             groups.setdefault(lit, []).append(gate.index)
-        # Sorted by member content, not by raw class id: the partition is
-        # the invariant — ids may differ between a scratch numbering and
-        # a delta-repaired one that reuses the memo.
+        # Sorted by member content, not by raw class id, so the order
+        # depends only on the partition.
         return sorted(sorted(members) for members in groups.values()
                       if len(members) >= 2)
 
@@ -912,7 +899,7 @@ class NetlistFacts:
 
         Computed by the saturating min-plus lattices of
         :mod:`repro.analyze.testability` on this engine (cycle-safe);
-        cached and delta-repaired like every other section.
+        cached like every other section.
         """
         if self._scoap is None:
             from .testability import scoap_costs
@@ -956,7 +943,7 @@ class NetlistFacts:
                                  else conflict_budget),
                 nvectors=(DEFAULT_VECTORS if nvectors is None
                           else nvectors),
-                seed=seed, retirable=True)
+                seed=seed)
         elif conflict_budget is not None:
             self._prover.conflict_budget = conflict_budget
         return self._prover
@@ -1085,63 +1072,18 @@ class NetlistFacts:
         return out
 
 
-class FactsCacheStats:
-    """Process-wide tally of :func:`netlist_facts` cache decisions.
-
-    ``facts_reused`` counts bundles repaired from an edit-journal delta,
-    ``facts_recomputed`` bundles built from scratch (first touch or full
-    invalidation), ``delta_edits`` the journal records those repairs
-    replayed.  Same-version cache hits move nothing.  Surfaced by
-    ``repro facts --stats`` so incrementality is observable end to end.
-    """
-
-    __slots__ = ("facts_reused", "facts_recomputed", "delta_edits")
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
-        self.facts_reused = 0
-        self.facts_recomputed = 0
-        self.delta_edits = 0
-
-    def snapshot(self) -> dict:
-        return {"facts_reused": self.facts_reused,
-                "facts_recomputed": self.facts_recomputed,
-                "delta_edits": self.delta_edits}
-
-
-#: The module-wide counter instance (reset it before a measured block).
-FACTS_CACHE = FactsCacheStats()
-
-
 def netlist_facts(netlist: Netlist) -> NetlistFacts:
     """The facts bundle for ``netlist``, cached and version-checked.
 
     The cache rides on ``netlist._facts``.  While the netlist's
     edit-journal version matches the bundle's, the cached object is
-    returned as-is.  After journalled mutations the bundle is *repaired*
-    from the delta (:func:`repro.analyze.incremental.warm_facts` —
-    only the materialized sections pay, and only cone-locally); a full
-    invalidation (:meth:`Netlist._dirty`) cleared the cache entirely, so
-    a stale bundle can never describe a mutated circuit.  Either way a
-    *new* bundle object is installed after a mutation: identity of the
-    returned object certifies an unchanged snapshot.
+    returned as-is; after any mutation a *new* lazy bundle is installed,
+    so a stale bundle can never describe a mutated circuit and identity
+    of the returned object certifies an unchanged snapshot.
     """
     facts = netlist._facts
-    if isinstance(facts, NetlistFacts):
-        if facts.version == netlist._version:
-            return facts
-        delta = netlist.edits_since(facts.version)
-        if delta is not None:
-            from .incremental import warm_facts
-
-            fresh = warm_facts(netlist, facts, delta)
-            netlist._facts = fresh
-            FACTS_CACHE.facts_reused += 1
-            FACTS_CACHE.delta_edits += len(delta)
-            return fresh
+    if isinstance(facts, NetlistFacts) and facts.version == netlist._version:
+        return facts
     fresh = NetlistFacts(netlist)
     netlist._facts = fresh
-    FACTS_CACHE.facts_recomputed += 1
     return fresh

@@ -291,8 +291,7 @@ class Prover:
 
     def __init__(self, netlist: Netlist, facts=None,
                  conflict_budget: int = DEFAULT_CONFLICT_BUDGET,
-                 nvectors: int = DEFAULT_VECTORS, seed: int = 0,
-                 retirable: bool = False):
+                 nvectors: int = DEFAULT_VECTORS, seed: int = 0):
         self.netlist = netlist
         self.conflict_budget = conflict_budget
         self.stats = SweepStats()
@@ -306,28 +305,13 @@ class Prover:
         self._builder = CnfBuilder(SatSolver())
         self.var: Dict[int, int] = {
             idx: self._builder.new_var() for idx in self._topo}
-        #: With ``retirable`` every gate encoding is guarded by an
-        #: activation literal assumed on each query; :meth:`refresh`
-        #: retires a stale gate's clauses with one unit and re-encodes
-        #: the edited gate append-only — the CNF survives netlist edits.
-        self._retirable = retirable
-        self._act: Dict[int, int] = {}
-        self._act_assumptions: List[int] = []
         for idx in self._topo:
             gate = netlist.gates[idx]
             if gate.gtype in _CUT_TYPES:
                 continue
-            act = None
-            if retirable:
-                act = self._builder.new_var()
-                self._act[idx] = act
             self._builder.encode_gate(
                 gate.gtype, self.var[idx],
-                [self.var[src] for src in gate.fanin],
-                activation=act)
-        if retirable:
-            self._act_assumptions = [
-                self._act[idx] for idx in sorted(self._act)]
+                [self.var[src] for src in gate.fanin])
         # -- simulation signatures ------------------------------------
         self._rng = random.Random(seed)
         self._nbits = 0
@@ -421,79 +405,10 @@ class Prover:
                     self._merge_kinds.append((rep, sig,
                                               "structural-hash"))
 
-    # -- incremental refresh -------------------------------------------
-    def refresh(self, netlist: Netlist, delta, facts=None) -> bool:
-        """Patch the CNF and signatures for a journalled edit batch.
-
-        Returns False — caller must rebuild from scratch — when the
-        prover was not constructed ``retirable``, the edited netlist is
-        cyclic, or the cut-signal set changed (the counterexample vector
-        layout would silently shift).  On success every edited gate's
-        old clauses are retired by a permanent ``-activation`` unit, the
-        gate is re-encoded onto its *same* output variable under a fresh
-        activation literal, rows are resimulated, and the heuristic
-        seeding (union-find, known constants) restarts from ``facts``.
-        The clause database itself is append-only, so learned clauses
-        stay sound: any consequence of a retired gate's clauses carries
-        the old activation literal negated and is satisfied the moment
-        the retirement unit lands.
-        """
-        from ..errors import NetlistError
-
-        if not self._retirable or delta is None:
-            return False
-        try:
-            topo = list(netlist.topo_order())
-        except NetlistError:
-            return False
-        new_cuts = list(netlist.inputs) + sorted(
-            g.index for g in netlist.gates if g.gtype is GateType.DFF)
-        if new_cuts != self.cut_signals:
-            return False
-        self.netlist = netlist
-        self._topo = topo
-        self._topo_pos = {idx: pos for pos, idx in enumerate(topo)}
-        for idx in range(len(self._rows), len(netlist.gates)):
-            self.var[idx] = self._builder.new_var()
-            self._rows.append(0)
-        touched = delta.touched_gates()
-        for idx in sorted(touched):
-            gate = netlist.gates[idx]
-            if gate.gtype in _CUT_TYPES:
-                continue  # cut variables are free; fanin edits no-op
-            old_act = self._act.pop(idx, None)
-            if old_act is not None:
-                self._builder.add([-old_act])
-            act = self._builder.new_var()
-            self._act[idx] = act
-            self._builder.encode_gate(
-                gate.gtype, self.var[idx],
-                [self.var[src] for src in gate.fanin], activation=act)
-        self._act_assumptions = [
-            self._act[idx] for idx in sorted(self._act)]
-        # Reduced-pin encodings referenced the old fanin list; the stale
-        # definitions keep constraining only their own fresh variables.
-        for key in [k for k in self._reduced_vars if k[0] in touched]:
-            del self._reduced_vars[key]
-        self._resimulate()
-        self._uf = _PhaseUnionFind()
-        self._merge_kinds = []
-        self._known_constants = {}
-        self._facts = facts
-        if facts is not None:
-            self._known_constants = dict(facts.known_constants(deep=True))
-            self._seed_structural(facts)
-        self._pair_verdicts.clear()
-        self._const_verdicts.clear()
-        self._swept = None
-        return True
-
     # -- the budgeted queries ------------------------------------------
     def _query(self, assumptions: List[int]) -> Tuple[Optional[bool], int]:
         solver = self._builder.solver
         before = solver.stats.conflicts
-        if self._act_assumptions:
-            assumptions = self._act_assumptions + assumptions
         answer = solver.solve(assumptions,
                               conflict_limit=self.conflict_budget)
         spent = solver.stats.conflicts - before

@@ -117,17 +117,6 @@ class ResetFixpoint:
     iterations: int
 
 
-def widen_state(gates, state, values):
-    """One widening step of the reset fixpoint: any register whose
-    computed next state (its fanin's value in ``values``) disagrees
-    with its assumed value descends to X.  Shared with the incremental
-    warm-start so both paths widen identically."""
-    return {
-        dff: (value if value == values[gates[dff].fanin[0]]
-              else None)
-        for dff, value in state.items()}
-
-
 def reset_fixpoint(netlist: Netlist,
                    initial_state=0) -> ResetFixpoint:
     """Greatest inductive ternary invariant of ``netlist`` from reset.
@@ -154,7 +143,10 @@ def reset_fixpoint(netlist: Netlist,
     while True:
         iterations += 1
         values = run_dataflow(netlist, TernaryConstants(assume=state))
-        new_state = widen_state(gates, state, values)
+        new_state = {
+            dff: (value if value == values[gates[dff].fanin[0]]
+                  else None)
+            for dff, value in state.items()}
         if new_state == state:
             break
         state = new_state

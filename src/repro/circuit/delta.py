@@ -1,15 +1,11 @@
-"""Structured netlist edit journal: the delta model of incremental facts.
+"""Structured netlist edit journal.
 
-Every :class:`~repro.circuit.netlist.Netlist` mutator used to call a
-blanket ``_dirty()`` that dropped every derived cache — topological
-ranks, fanout lists, cones, dataflow facts, the Tseitin encoding —
-making static analysis unaffordable anywhere but the diagnosis root.
-This module defines the *edit journal* that replaces it: each mutation
-appends one or more :class:`NetlistEdit` records, a monotone version
-counter advances, and consumers (the netlist's own structural caches,
-:mod:`repro.analyze.incremental`, the retirable CNF of
-:mod:`repro.analyze.prove`) repair themselves from the recorded delta
-instead of recomputing from scratch.
+Each :class:`~repro.circuit.netlist.Netlist` mutation appends one or
+more :class:`NetlistEdit` records and advances a monotone version
+counter.  Two consumers read the recorded delta instead of recomputing
+from scratch: the netlist's own structural caches (fanouts, ranks,
+levels), and :mod:`repro.analyze.incremental`, which warms a diagnosis
+child's constants and observability from its parent's facts.
 
 Edit kinds (one record per primitive change; compound mutators such as
 ``insert_gate_on_stem`` decompose into a ``gate_added`` plus one
@@ -62,18 +58,15 @@ class NetlistEdit:
 class NetlistDelta:
     """An ordered slice of the edit journal between two versions.
 
-    Obtained from :meth:`Netlist.edits_since`.  The accessors derive the
-    seed sets every cache-repair rule needs; they are pure functions of
-    the edit list (computed lazily, cached on the instance).
+    Obtained from :meth:`Netlist.edits_since`.  The accessors are pure
+    functions of the edit list (computed lazily, cached on the instance).
     """
 
-    __slots__ = ("edits", "_touched", "_sources", "_outputs_before")
+    __slots__ = ("edits", "_touched")
 
     def __init__(self, edits: Tuple[NetlistEdit, ...]):
         self.edits = edits
         self._touched: Optional[Set[int]] = None
-        self._sources: Optional[Set[int]] = None
-        self._outputs_before: object = _UNSET
 
     def __len__(self) -> int:
         return len(self.edits)
@@ -96,48 +89,8 @@ class NetlistDelta:
             self._touched = touched
         return self._touched
 
-    def touched_sources(self) -> Set[int]:
-        """Signals whose *fanout list* changed: every old/new source of
-        a pin edit plus the fanins of added gates — the seed set for
-        cone and dominator repair."""
-        if self._sources is None:
-            sources: Set[int] = set()
-            for e in self.edits:
-                if e.kind == "pin_replaced":
-                    sources.add(e.old)
-                    sources.add(e.new)
-                elif e.kind == "pin_removed":
-                    sources.add(e.old)
-                elif e.kind == "pin_added":
-                    sources.add(e.new)
-                elif e.kind == "gate_added":
-                    sources.update(e.new[1])
-            self._sources = sources
-        return self._sources
-
-    def outputs_before(self) -> Optional[Tuple[int, ...]]:
-        """The output list as it stood before this delta, or ``None``
-        when no ``outputs_set`` edit is recorded (outputs unchanged)."""
-        if self._outputs_before is _UNSET:
-            before = None
-            for e in self.edits:
-                if e.kind == "outputs_set":
-                    before = tuple(e.old)
-                    break
-            self._outputs_before = before
-        return self._outputs_before
-
-    def outputs_changed(self) -> bool:
-        return self.outputs_before() is not None
-
     def connectivity_changed(self) -> bool:
         """True when any edge or the output list changed (anything but
         pure ``type_changed`` records)."""
         return any(e.kind != "type_changed" for e in self.edits)
 
-
-class _Unset:
-    __slots__ = ()
-
-
-_UNSET = _Unset()

@@ -13,7 +13,9 @@ fanin, tie a line to a constant).  Each mutation appends structured
 (Pearce–Kelly rank repair for order-violating edge insertions); a full
 invalidation (:meth:`Netlist._dirty`) remains as the fallback for edits
 with no per-record description.  Consumers snapshot :attr:`version` and
-later call :meth:`edits_since` to repair their own derived state.
+later call :meth:`edits_since` to learn what changed; the diagnosis
+search uses it to warm a child copy's pre-screen facts from its parent's
+(:mod:`repro.analyze.incremental`).
 
 Gates removed by an edit are never physically deleted (indices stay
 stable); they become *detached* — no longer reachable from an output — and
@@ -77,8 +79,8 @@ class Netlist:
         # there, invalidated here with the other derived caches).
         self._sim_tables: tuple | None = None
         # Static-analysis facts owned by repro.analyze.dataflow.  Not
-        # dropped by journalled edits: repro.analyze.incremental repairs
-        # the bundle from the delta when versions diverge.
+        # dropped by journalled edits: the bundle's version stamp tells
+        # netlist_facts to start a fresh one when versions diverge.
         self._facts: object | None = None
         # Edit journal: monotone version counter plus the record list for
         # versions in [_journal_base, _version].

@@ -6,11 +6,10 @@ Subcommands::
     repro table2 [--scale S] [--trials N] ...
     repro ablation [--errors K] ...
     repro diagnose SPEC.bench IMPL.bench [--mode stuck-at|design-error]
-                   [--jobs N] [--worker-budget N] [--format json]
+                   [--jobs N] [--format json]
     repro lint FILE [FILE...] [--format json] [--strict] [--deep]
                [--prove] [--seq] ...
     repro facts FILE [FILE...] [--format json] [--no-deep] [--seq]
-               [--stats]
     repro prove A.bench B.bench [--budget N]   # SAT equivalence check
     repro inject SPEC.bench OUT.bench (--faults K | --errors K) [--seed N]
     repro compare [--faults 1,2]     # engine vs SAT vs dictionary
@@ -127,7 +126,6 @@ def cmd_diagnose(args) -> int:
                              check_invariants=args.check_invariants,
                              prove_dedup=args.prove_dedup,
                              jobs=args.jobs,
-                             worker_budget=args.worker_budget,
                              seed=args.seed)
     trace_fh = None
     trace = None
@@ -251,11 +249,8 @@ def cmd_lint(args) -> int:
 def cmd_facts(args) -> int:
     """Dataflow facts digest.  Exit codes: 0 ok, 2 unreadable input."""
     from .analyze import netlist_facts
-    from .analyze.dataflow import FACTS_CACHE
     from .errors import ReproError
 
-    if args.stats:
-        FACTS_CACHE.reset()
     worst = 0
     digests = []
     for path in args.files:
@@ -269,12 +264,7 @@ def cmd_facts(args) -> int:
             deep=not args.no_deep, seq=args.seq,
             testability=args.testability))
     if args.format == "json":
-        if args.stats:
-            print(json.dumps({"digests": digests,
-                              "facts_cache": FACTS_CACHE.snapshot()},
-                             indent=2))
-        else:
-            print(json.dumps(digests, indent=2))
+        print(json.dumps(digests, indent=2))
         return worst
     for digest in digests:
         print(f"{digest['netlist']}: {digest['gates']} gates")
@@ -316,11 +306,6 @@ def cmd_facts(args) -> int:
                   f"max co {tb['max_co']}")
             for fault in tb["untestable_faults"]:
                 print(f"  untestable: {fault}")
-    if args.stats:
-        snap = FACTS_CACHE.snapshot()
-        print(f"facts cache: {snap['facts_reused']} reused, "
-              f"{snap['facts_recomputed']} recomputed, "
-              f"{snap['delta_edits']} delta edit(s) replayed")
     return worst
 
 
@@ -507,9 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "search, counting this one (N-1 are forked); "
                         "any N returns the same solution list as "
                         "--jobs 1 (default 1)")
-    p.add_argument("--worker-budget", type=int, default=None,
-                   help="per-shard node budget (default: max_nodes "
-                        "per shard)")
     p.add_argument("--check-invariants", action="store_true",
                    help="assert simulated values, Verr/Vcorr and "
                         "Theorem 1 invariants at every tree node (debug "
@@ -589,10 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--testability", action="store_true",
                    help="also report SCOAP cost extremes and "
                         "statically untestable stuck-at faults")
-    p.add_argument("--stats", action="store_true",
-                   help="also report the facts-cache counters "
-                        "(bundles reused via delta repair vs "
-                        "recomputed, journal edits replayed)")
     p.set_defaults(func=cmd_facts)
 
     p = sub.add_parser("prove",

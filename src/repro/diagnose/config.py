@@ -95,18 +95,15 @@ class DiagnosisConfig:
         max_nodes: hard cap on decision-tree nodes per search level.
             In the exact protocol the search is sharded into one
             subtree per screened root correction (see
-            :mod:`repro.parallel`) and the cap applies *per shard*
-            unless ``worker_budget`` overrides it.
+            :mod:`repro.parallel`) and the cap applies *per shard*,
+            identically at any ``jobs`` (so shard truncation is
+            reproducible at any pool width).
         jobs: processes for the sharded search, counting the caller:
             ``N`` forks ``N - 1`` workers, and ``1`` (default) runs the
             same shard plan in-process.  Any ``N`` returns the
             identical solution list and deterministic counters (the
             scheduler's determinism contract, valid when
             ``time_budget`` is None).
-        worker_budget: per-shard node budget; None means each shard
-            inherits ``max_nodes``.  Deliberately independent of
-            ``jobs`` so shard truncation is reproducible at any pool
-            width.
         max_rounds: hard cap on rounds (paper observes <=6 typical, 9 for
             c1355/c880-like circuits, allowing up to 256 nodes).
         static_prescreen: drop suspects that are statically
@@ -117,9 +114,10 @@ class DiagnosisConfig:
             primary output; the screen is re-derived per tree node from
             the (cached) dataflow facts of that node's netlist.  While
             it is on, each child node that will pre-screen warms its
-            facts from its parent's via the netlist edit journal
-            (:func:`repro.diagnose.tree.warm_child_facts`); every
-            repair is exact, so the verdicts equal a scratch
+            constants and observability from its parent's facts via
+            the netlist edit journal
+            (:func:`repro.diagnose.tree.warm_child_facts`); the warm
+            is exact, so the verdicts equal a scratch
             recomputation's and only ``EngineStats.facts_reused`` /
             ``facts_recomputed`` / ``delta_edits`` record the reuse.
         seq_prescreen: sequential variant of the pre-screen, used by
@@ -171,7 +169,6 @@ class DiagnosisConfig:
     corrections_per_node: int = 24
     max_nodes: int = 4000
     jobs: int = 1
-    worker_budget: int | None = None
     max_rounds: int = 9
     static_prescreen: bool = True
     seq_prescreen: bool = False
@@ -202,11 +199,6 @@ class DiagnosisConfig:
                 ``seq_prescreen``, which only the time-frame diagnoser
                 reads), ``True`` for the sequential one, ``None`` skips
                 the engine-specific check.
-
-        Note ``worker_budget`` is deliberately *not* tied to ``jobs``:
-        the per-shard budget applies identically at any pool width
-        (including the in-process ``jobs=1`` plan), which is what makes
-        shard truncation reproducible — see the attribute docs.
 
         Returns self, so entry points can chain on a fresh config.
         """
@@ -243,13 +235,6 @@ class DiagnosisConfig:
             if not isinstance(value, int) or value < floor:
                 raise DiagnosisError(
                     f"{name} must be an int >= {floor} (got {value!r})")
-        if self.worker_budget is not None and (
-                not isinstance(self.worker_budget, int)
-                or self.worker_budget < 0):
-            raise DiagnosisError(
-                f"worker_budget must be an int >= 0 or None (got "
-                f"{self.worker_budget!r}); None means each shard "
-                "inherits max_nodes")
         if not 0.0 < self.candidate_fraction <= 1.0:
             raise DiagnosisError(
                 f"candidate_fraction must be in (0, 1] (got "

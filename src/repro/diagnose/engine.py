@@ -310,9 +310,7 @@ class _ExactSearch:
         self.deadline = deadline
         self.visited: set = set()
         self.solutions: dict = {}
-        self.budget = (config.worker_budget
-                       if config.worker_budget is not None
-                       else config.max_nodes)
+        self.budget = config.max_nodes
         self.invariants = (InvariantChecker()
                            if config.check_invariants else None)
 
@@ -403,8 +401,7 @@ def execute_shard(context, task) -> ShardResult:
                             context.config, stats,
                             candidate_fraction=fraction,
                             deadline=clock.wall_to_perf(wall_deadline))
-        solutions = tree.run(stop_at_first=True,
-                             traversal=context.config.traversal)
+        solutions = tree.run(traversal=context.config.traversal)
         stats.total_time = clock.now() - t0
         return ShardResult(index, solutions, stats)
     raise ValueError(f"unknown shard kind {kind!r}")

@@ -33,20 +33,13 @@ from .report import (CorrectionRecord, EngineStats, Solution,
 from .screening import (ScreenedCorrection, prescreen_suspects,
                         screen_corrections)
 
-#: Facts sections the static pre-screen reads (``blocked_signals`` needs
-#: only these two); the warm repair covers exactly them and leaves the
-#: rest lazy.  Implications are excluded on purpose: child pre-screens
-#: run shallow (``deep=False``), and a warmed implication graph would
-#: silently upgrade their ``blocked_signals`` verdicts — breaking
-#: bit-identity with facts recomputed from scratch.
-PRESCREEN_SECTIONS = frozenset(("constants", "observable"))
-
 
 def warm_child_facts(parent, child, stats: EngineStats) -> None:
-    """Warm ``child``'s dataflow-facts bundle from ``parent``'s.
+    """Warm ``child``'s constants and observability — the two facts
+    sections the pre-screen reads — from ``parent``'s bundle.
 
     Runs for every child that will pre-screen (``static_prescreen`` on
-    and spare depth below the target); every repair is exact, so the
+    and spare depth below the target); the warm is exact, so the
     child's pre-screen verdicts equal a scratch recomputation's.
     ``child`` must be a fresh ``parent.copy()`` (journal snapshot 0)
     mutated only through journalled mutators, so ``edits_since(0)`` is
@@ -63,8 +56,7 @@ def warm_child_facts(parent, child, stats: EngineStats) -> None:
         stats.facts_recomputed += 1
         return
     from ..analyze.incremental import warm_facts
-    child._facts = warm_facts(child, base, delta,
-                              sections=PRESCREEN_SECTIONS)
+    child._facts = warm_facts(child, base, delta)
     stats.facts_reused += 1
     stats.delta_edits += len(delta)
 
@@ -183,9 +175,8 @@ class DecisionTree:
                     node.applied + (record,))
 
     # ------------------------------------------------------------------
-    def run(self, stop_at_first: bool = True,
-            traversal: str = "rounds") -> list[Solution]:
-        """Traverse until a solution, exhaustion, or caps.
+    def run(self, traversal: str = "rounds") -> list[Solution]:
+        """Traverse until the first solution, exhaustion, or caps.
 
         ``traversal`` selects the global flow: ``"rounds"`` is the
         paper's BFS/DFS trade-off; ``"dfs"`` and ``"bfs"`` are the two
@@ -193,10 +184,10 @@ class DecisionTree:
         ablation benches).
         """
         if traversal == "dfs":
-            return self._run_dfs(stop_at_first)
+            return self._run_dfs()
         if traversal == "bfs":
-            return self._run_bfs(stop_at_first)
-        return self._run_rounds(stop_at_first)
+            return self._run_bfs()
+        return self._run_rounds()
 
     def _out_of_budget(self) -> bool:
         if self.stats.nodes >= self.config.max_nodes:
@@ -207,8 +198,7 @@ class DecisionTree:
             return True
         return False
 
-    def _register_child(self, child: Node,
-                        stop_at_first: bool) -> bool:
+    def _register_child(self, child: Node) -> bool:
         """Common child bookkeeping; True when the search should stop."""
         key = frozenset(r.signature for r in child.applied)
         if key in self._seen_sets:
@@ -217,12 +207,12 @@ class DecisionTree:
         if child.state.rectified:
             self.solutions.append(Solution(child.applied,
                                            child.state.netlist))
-            return stop_at_first
+            return True
         if child.depth < self.target:
             self.open_nodes.append(child)
         return False
 
-    def _run_dfs(self, stop_at_first: bool) -> list[Solution]:
+    def _run_dfs(self) -> list[Solution]:
         """Greedy depth-first: always deepen the newest open node."""
         while self.open_nodes:
             if self._out_of_budget():
@@ -237,11 +227,11 @@ class DecisionTree:
             sc = node.pending[rank_position]
             node.next_rank += 1
             child = self.apply(node, sc, 0, rank_position)
-            if self._register_child(child, stop_at_first):
+            if self._register_child(child):
                 return self.solutions
         return self.solutions
 
-    def _run_bfs(self, stop_at_first: bool) -> list[Solution]:
+    def _run_bfs(self) -> list[Solution]:
         """Naive breadth-first: exhaust every node level by level."""
         frontier = [self.root]
         for level in range(self.target):
@@ -254,14 +244,14 @@ class DecisionTree:
                         return self.solutions
                     child = self.apply(node, sc, level + 1, rank_position)
                     self.open_nodes = next_frontier  # children collect here
-                    if self._register_child(child, stop_at_first):
+                    if self._register_child(child):
                         return self.solutions
             frontier = next_frontier
             if not frontier:
                 break
         return self.solutions
 
-    def _run_rounds(self, stop_at_first: bool = True) -> list[Solution]:
+    def _run_rounds(self) -> list[Solution]:
         """Round-based traversal until a solution, exhaustion, or caps."""
         config = self.config
         for round_no in range(1, config.max_rounds + 1):
@@ -283,7 +273,7 @@ class DecisionTree:
                 if not node.open:
                     self._close(node)
                 child = self.apply(node, sc, round_no, rank_position)
-                if self._register_child(child, stop_at_first):
+                if self._register_child(child):
                     return self.solutions
         return self.solutions
 

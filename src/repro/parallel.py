@@ -13,7 +13,7 @@ the caller expands the root node once (path trace, Theorem 1 screen,
 outcome-guided ordering) and emits one shard per screened root
 correction; each shard explores the entire subtree under its root
 correction with a private visited set and a per-shard node/time budget
-(``DiagnosisConfig.worker_budget``).  DEDC mode distributes the
+(``DiagnosisConfig.max_nodes`` applies to each shard).  DEDC mode distributes the
 relaxation-ladder attempts: each rung of the h1/h2/h3 ladder is an
 independent decision-tree run, evaluated speculatively; the merge keeps
 the earliest successful rung — the one the serial loop would have

@@ -21,77 +21,62 @@ class CnfBuilder:
     def new_var(self) -> int:
         return self.solver.new_var()
 
-    def add(self, clause, activation: int | None = None) -> None:
-        """Add a clause; with ``activation`` the clause is *guarded* —
-        ``(clause OR NOT activation)`` — so it only constrains models
-        where the activation literal is assumed true, and asserting the
-        unit ``[-activation]`` later retires it permanently (the
-        incremental prover's append-only CNF patching)."""
-        if activation is not None:
-            clause = list(clause) + [-activation]
+    def add(self, clause) -> None:
         self.solver.add_clause(clause)
 
     # ------------------------------------------------------------------
-    def constant(self, var: int, value: bool,
-                 activation: int | None = None) -> None:
-        self.add([var if value else -var], activation)
+    def constant(self, var: int, value: bool) -> None:
+        self.add([var if value else -var])
 
-    def equal(self, a: int, b: int, activation: int | None = None) -> None:
-        self.add([-a, b], activation)
-        self.add([a, -b], activation)
+    def equal(self, a: int, b: int) -> None:
+        self.add([-a, b])
+        self.add([a, -b])
 
-    def encode_gate(self, gtype: GateType, out: int, ins: list[int],
-                    activation: int | None = None) -> None:
-        """Tseitin encoding: ``out <-> gtype(ins)``.
-
-        Every emitted clause — including the definitional clauses of the
-        XOR chain's fresh variables — carries the ``activation`` guard
-        when one is given, so retiring the guard detaches the whole gate
-        encoding at once.
-        """
+    def encode_gate(self, gtype: GateType, out: int,
+                    ins: list[int]) -> None:
+        """Tseitin encoding: ``out <-> gtype(ins)``."""
         if gtype in (GateType.BUF, GateType.INPUT, GateType.DFF):
-            self.equal(out, ins[0], activation)
+            self.equal(out, ins[0])
             return
         if gtype is GateType.NOT:
-            self.equal(out, -ins[0], activation)
+            self.equal(out, -ins[0])
             return
         if gtype is GateType.CONST0:
-            self.constant(out, False, activation)
+            self.constant(out, False)
             return
         if gtype is GateType.CONST1:
-            self.constant(out, True, activation)
+            self.constant(out, True)
             return
         if gtype in (GateType.AND, GateType.NAND):
             y = out if gtype is GateType.AND else -out
             for i in ins:
-                self.add([-y, i], activation)
-            self.add([y] + [-i for i in ins], activation)
+                self.add([-y, i])
+            self.add([y] + [-i for i in ins])
             return
         if gtype in (GateType.OR, GateType.NOR):
             y = out if gtype is GateType.OR else -out
             for i in ins:
-                self.add([y, -i], activation)
-            self.add([-y] + list(ins), activation)
+                self.add([y, -i])
+            self.add([-y] + list(ins))
             return
         if gtype in (GateType.XOR, GateType.XNOR):
             acc = ins[0]
             for nxt in ins[1:]:
                 fresh = self.new_var()
-                self._xor2(fresh, acc, nxt, activation)
+                self._xor2(fresh, acc, nxt)
                 acc = fresh
             if gtype is GateType.XOR:
-                self.equal(out, acc, activation)
+                self.equal(out, acc)
             else:
-                self.equal(out, -acc, activation)
+                self.equal(out, -acc)
             return
         raise SimulationError(f"cannot encode gate type {gtype}")
 
-    def _xor2(self, y: int, a: int, b: int,
-              activation: int | None = None) -> None:
-        self.add([-y, a, b], activation)
-        self.add([-y, -a, -b], activation)
-        self.add([y, -a, b], activation)
-        self.add([y, a, -b], activation)
+    def _xor2(self, y: int, a: int, b: int) -> None:
+        self.add([-y, a, b])
+        self.add([-y, -a, -b])
+        self.add([y, -a, b])
+        self.add([y, a, -b])
 
     def mux(self, out: int, sel: int, when_true: int,
             when_false: int) -> None:

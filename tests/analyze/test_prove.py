@@ -295,8 +295,9 @@ def test_facts_prover_cached_and_invalidated(c17):
     gate = nl.index_of("22")
     nl.set_gate_type(gate, GateType.AND)       # journalled mutation
     refreshed = netlist_facts(nl).prover()
-    # The retirable CNF survives the edit (stale clauses retired by
-    # activation units) and answers for the *edited* function.
+    # The edit installs a fresh facts bundle, whose prover is rebuilt
+    # for the *edited* function.
+    assert refreshed is not prover
     scratch = Prover(nl, facts=netlist_facts(nl))
     for signal in (gate, nl.outputs[0]):
         for value in (0, 1):

@@ -52,12 +52,6 @@ CORRUPTIONS = [
      lambda r: r.update(proven=r["proven"] + 1), "!= candidates"),
     ("seq", "prescreen", "", _set(identical=False), "changed the solution"),
     ("seq", "prescreen", "", _set(dropped=0), "dropped nothing"),
-    ("incr", "maintain", "", _set(identical=False), "diverged"),
-    ("incr", "maintain", "",
-     lambda r: r.update(facts_reused=r["edits"] - 1), "warm repairs"),
-    ("incr", "maintain", "",
-     lambda r: r.update(delta_edits=r["facts_reused"] - 1),
-     "at least one journal edit"),
     ("testability", "podem", "",
      lambda r: r["guided"].update(backtracks=r["unguided"]["backtracks"]),
      "strictly reduce"),

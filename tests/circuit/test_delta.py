@@ -41,15 +41,15 @@ def test_edits_since_returns_exact_slice():
     assert isinstance(delta, NetlistDelta)
     assert [e.kind for e in delta] == ["type_changed", "pin_replaced"]
     assert delta.touched_gates() == {nl.index_of("g1"), nl.index_of("g3")}
-    assert delta.touched_sources() == {nl.index_of("g1"),
-                                       nl.index_of("g2")}
+    assert delta.connectivity_changed()
     # a later snapshot sees only the tail
     mid = nl.version
     nl.set_outputs([nl.index_of("g1")])
     tail = nl.edits_since(mid)
     assert [e.kind for e in tail] == ["outputs_set"]
-    assert tail.outputs_changed()
-    assert tail.outputs_before() == (nl.index_of("g3"),)
+    assert tail.edits[0].old == (nl.index_of("g3"),)
+    assert tail.touched_gates() == set()
+    assert tail.connectivity_changed()             # the output list moved
 
 
 def test_edits_since_none_after_dirty_and_for_bogus_versions():
@@ -94,7 +94,7 @@ def test_compound_mutators_decompose_into_primitives():
     assert "outputs_set" not in kinds              # a was not a PO
     delta = nl.edits_since(v0)
     assert inv in delta.touched_gates()
-    assert a in delta.touched_sources()
+    assert {e.old for e in delta if e.kind == "pin_replaced"} == {a}
     assert delta.connectivity_changed()
 
 
@@ -259,8 +259,6 @@ def test_delta_accessors_on_handwritten_edits():
                     new=GateType.OR),
     ))
     assert not delta.connectivity_changed()
-    assert not delta.outputs_changed()
     assert delta.touched_gates() == {3}
-    assert delta.touched_sources() == set()
     assert len(delta) == 1 and bool(delta)
     assert not NetlistDelta(())

@@ -213,7 +213,7 @@ def test_node_budget_yields_partial_flagged_result(c17):
     patterns = PatternSet.random(5, 512, seed=9)
     full = _exact_result(c17, workload, patterns, max_errors=2)
     partial = _exact_result(c17, workload, patterns, max_errors=2,
-                            worker_budget=2)
+                            max_nodes=2)
     assert not full.stats.truncated
     assert partial.stats.truncated
     assert "node-budget" in partial.stats.truncation_causes
@@ -223,17 +223,19 @@ def test_node_budget_yields_partial_flagged_result(c17):
         assert rectifies(workload.impl, solution.netlist, patterns)
 
 
-def test_zero_budget_truncates_before_any_node(c17):
+def test_one_node_budget_truncates_every_shard(c17):
     """The budget check runs before a candidate is marked visited or
-    explored (the pre-PR bug explored budget-0 nodes and marked the
-    first dropped candidate as visited)."""
-    workload = inject_stuck_at_faults(c17, 1, seed=1)
+    explored, and ``max_nodes`` applies to each shard: with a budget of
+    one node every shard stops after its root correction, and the run is
+    flagged."""
+    workload = inject_stuck_at_faults(c17, 2, seed=3)
     patterns = PatternSet.random(5, 512, seed=9)
-    result = _exact_result(c17, workload, patterns, max_errors=1,
-                           worker_budget=0)
+    result = _exact_result(c17, workload, patterns, max_errors=2,
+                           max_nodes=1)
     assert result.stats.truncated
-    assert result.stats.nodes == 0
-    assert not result.found
+    assert "node-budget" in result.stats.truncation_causes
+    assert len(result.stats.shards) > 1
+    assert all(shard["nodes"] <= 1 for shard in result.stats.shards)
 
 
 def test_time_budget_expiry_mid_tree_truncates(c17):

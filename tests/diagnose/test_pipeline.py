@@ -55,11 +55,11 @@ def test_validate_coerces_mode_string():
     ({"jobs": 2.5}, "jobs"),
     ({"pathtrace_samples": 0}, "pathtrace_samples"),
     ({"max_nodes": 0}, "max_nodes"),
-    ({"worker_budget": -1}, "worker_budget"),
+    ({"corrections_per_node": 0}, "corrections_per_node"),
     ({"candidate_fraction": 0.0}, "candidate_fraction"),
     ({"candidate_fraction": 1.5}, "candidate_fraction"),
     ({"theorem1_safety": 0.0}, "theorem1_safety"),
-    ({"worker_budget": 2.5}, "worker_budget"),
+    ({"prove_budget": 0}, "prove_budget"),
     ({"time_budget": 0}, "time_budget"),
     ({"schedule": ["not-a-level"]}, "HLevel"),
     ({"schedule": [HLevel(0.3, 0.7, 1.5)]}, "[0, 1]"),

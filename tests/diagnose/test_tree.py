@@ -49,23 +49,26 @@ def _tree_for(c17, target=1, **config_kwargs):
 @pytest.mark.parametrize("traversal", ["rounds", "dfs", "bfs"])
 def test_all_traversals_find_single_fault(c17, traversal):
     tree = _tree_for(c17, 1)
-    solutions = tree.run(stop_at_first=True, traversal=traversal)
+    solutions = tree.run(traversal=traversal)
     assert solutions
     assert solutions[0].size == 1
     assert solutions[0].netlist is not None
 
 
 def test_node_cap_respected(c17):
-    tree = _tree_for(c17, 2, max_nodes=3)
-    tree.run(stop_at_first=False)
-    assert tree.stats.nodes <= 4  # cap checked before each apply
+    # The first solution needs 3 nodes, so a cap of 2 must stop the
+    # search before it.
+    tree = _tree_for(c17, 2, max_nodes=2)
+    assert not tree.run()
+    assert tree.stats.nodes <= 2  # cap checked before each apply
+    assert "node-budget" in tree.stats.truncation_causes
 
 
 def test_deadline_respected(c17):
     import time
     tree = _tree_for(c17, 2)
     tree.deadline = time.perf_counter() - 1.0  # already expired
-    solutions = tree.run(stop_at_first=True)
+    solutions = tree.run()
     assert not solutions
     assert tree.stats.truncated
 
@@ -78,9 +81,3 @@ def test_expand_records_phase_times(c17):
     assert tree.stats.corr_time >= 0.0
     assert tree.root.pending  # a single fault always yields candidates
 
-
-def test_duplicate_sets_not_reported_twice(c17):
-    tree = _tree_for(c17, 2)
-    solutions = tree.run(stop_at_first=False)
-    keys = [s.key for s in solutions]
-    assert len(keys) == len(set(keys))

@@ -344,26 +344,6 @@ def test_diagnose_prove_dedup_flag(tmp_path, capsys):
     assert "correction set" in out
 
 
-def test_facts_stats_counters(tmp_path, capsys):
-    import json as _json
-    path = tmp_path / "c.bench"
-    bench_io.dump(generators.c17(), path)
-    assert main(["facts", "--stats", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "facts cache:" in out
-    assert "recomputed" in out
-    assert main(["facts", "--stats", "--format", "json",
-                 str(path)]) == 0
-    payload = _json.loads(capsys.readouterr().out)
-    cache = payload["facts_cache"]
-    assert cache["facts_recomputed"] >= 1
-    assert set(cache) == {"facts_reused", "facts_recomputed",
-                          "delta_edits"}
-    # without --stats the JSON shape stays the plain digest list
-    assert main(["facts", "--format", "json", str(path)]) == 0
-    assert isinstance(_json.loads(capsys.readouterr().out), list)
-
-
 def test_diagnose_json_surfaces_facts_counters(tmp_path, capsys):
     import json as _json
     spec_path = tmp_path / "spec.bench"
