@@ -68,7 +68,7 @@ def sweep(circuit, values, err_mask, suspects) -> int:
     events = 0
     for sig in suspects:
         events += len(propagate(circuit, values,
-                                stem_overrides={sig: values[sig] ^ err_mask},
+                                {sig: values[sig] ^ err_mask},
                                 base_ints=base_ints))
     return events
 

@@ -47,6 +47,15 @@ class Line:
     def is_stem(self) -> bool:
         return self.kind is LineKind.STEM
 
+    @property
+    def site(self) -> int | tuple[int, int]:
+        """Where a forced value enters the netlist: the driver index for
+        a stem, ``(sink, pin)`` for a branch — the key of an override in
+        :func:`repro.sim.logicsim.propagate`."""
+        if self.kind is LineKind.STEM:
+            return self.driver
+        return (self.sink, self.pin)
+
     def describe(self, netlist: Netlist) -> str:
         """Human-readable site name, e.g. ``n12`` or ``n12->g7.1``."""
         drv = netlist.gates[self.driver].name

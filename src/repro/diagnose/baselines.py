@@ -19,7 +19,7 @@ import numpy as np
 from ..circuit.lines import LineTable
 from ..circuit.netlist import Netlist
 from ..faults.models import apply_correction, stuck_at_correction
-from ..sim.compare import failing_vector_mask
+from ..sim.compare import failing_vector_mask, masked
 from ..sim.faultsim import FaultSimulator, SimFault, all_faults
 from ..sim.logicsim import output_rows, simulate
 from ..sim.packing import PatternSet, popcount
@@ -34,41 +34,11 @@ def dictionary_diagnosis(spec: Netlist, impl: Netlist,
     faults whose full per-output response signature equals the observed
     (implementation) behaviour.  Empty when no single fault explains it.
     """
-    spec_values = simulate(spec, patterns)
-    spec_out = output_rows(spec, spec_values)
+    fsim = FaultSimulator(spec, patterns)
     impl_out = output_rows(impl, simulate(impl, patterns))
-    observed = np.bitwise_xor(spec_out, impl_out)
-    observed[:, -1] &= np.uint64(patterns.tail_mask())
-    table = LineTable(spec)
-    fsim = FaultSimulator(spec, patterns, table)
-    matches = []
-    for fault in all_faults(table):
-        line = table[fault.line]
-        forced = (np.zeros_like(spec_values[line.driver]) if fault.value == 0
-                  else np.full_like(spec_values[line.driver],
-                                    np.uint64(0xFFFFFFFFFFFFFFFF)))
-        changed = _propagate(fsim, forced, stem=line.is_stem,
-                             line=line)
-        signature = np.zeros_like(observed)
-        for pos, po in enumerate(spec.outputs):
-            row = changed.get(po)
-            diff = (row ^ spec_out[pos]) if row is not None \
-                else np.zeros_like(spec_out[pos])
-            signature[pos] = diff
-        signature[:, -1] &= np.uint64(patterns.tail_mask())
-        if np.array_equal(signature, observed):
-            matches.append(fault)
-    return matches
-
-
-def _propagate(fsim: FaultSimulator, forced, stem: bool, line):
-    from ..sim.logicsim import propagate
-
-    if stem:
-        return propagate(fsim.netlist, fsim.values,
-                         stem_overrides={line.driver: forced})
-    return propagate(fsim.netlist, fsim.values,
-                     pin_overrides={(line.sink, line.pin): forced})
+    observed = masked(fsim.good_outputs ^ impl_out, patterns.nbits)
+    return [fault for fault in all_faults(fsim.table)
+            if np.array_equal(fsim.output_response(fault), observed)]
 
 
 def exhaustive_multifault_diagnosis(spec: Netlist, impl: Netlist,

@@ -87,9 +87,7 @@ class DiagnosisState:
         out = output_rows(netlist, self.values)
         self.diff, self.err_mask, self.num_err = error_partition(
             out, spec_out, patterns.nbits)
-        full = np.full_like(self.err_mask, np.uint64(0xFFFFFFFFFFFFFFFF))
-        full[-1] = tail_mask(patterns.nbits)
-        self.corr_mask = self.err_mask ^ full
+        self.corr_mask = masked(~self.err_mask, patterns.nbits)
         self.num_corr = patterns.nbits - self.num_err
         self.num_err_pairs = popcount(self.diff)
         self._tail = tail_mask(patterns.nbits)
@@ -159,29 +157,17 @@ class DiagnosisState:
         dict of that propagate.
         """
         if isinstance(line_index, (int, np.integer)):
-            line = self.table[line_index]
-            if line.is_stem:
-                return propagate(self.netlist, self.values,
-                                 stem_overrides={line.driver: new_words},
-                                 base_ints=self._base_ints)
             return propagate(self.netlist, self.values,
-                             pin_overrides={(line.sink, line.pin):
-                                            new_words},
+                             {self.table[line_index].site: new_words},
                              base_ints=self._base_ints)
-        stems: dict = {}
-        pins: dict = {}
+        overrides: dict = {}
         forced: dict = {}
         for slot, index in enumerate(line_index):
-            line = self.table[index]
-            if line.is_stem:
-                site = line.driver
-                stems[site] = new_words
-            else:
-                site = (line.sink, line.pin)
-                pins[site] = new_words
+            site = self.table[index].site
+            overrides[site] = new_words
             forced.setdefault(site, []).append(slot)
-        return propagate(self.netlist, self.values, stem_overrides=stems,
-                         pin_overrides=pins, forced_slots=forced)
+        return propagate(self.netlist, self.values, overrides,
+                         forced_slots=forced)
 
     def outcome_of_override(self, line_index,
                             new_words: np.ndarray

@@ -31,7 +31,7 @@ from ..circuit.gatetypes import (GateType, REPLACEMENT_CLASSES,
                                  SOURCE_TYPES, eval_words)
 from ..faults.models import (Correction, CorrectionKind,
                              corrected_line_words)
-from ..sim.packing import row_popcounts
+from ..sim.packing import const_row, row_popcounts
 from .bitlists import DiagnosisState
 from .config import DiagnosisConfig, Mode
 
@@ -107,9 +107,8 @@ def _rewired_core(state: DiagnosisState, driver: int,
         base = eval_words(core, [state.values[src] for src in retained])
     else:
         # Replacing the only fanin: the new source alone defines the core.
-        base = (np.zeros_like(state.values[driver])
-                if core in (GateType.OR, GateType.XOR)
-                else np.full_like(state.values[driver], _ONES))
+        base = const_row(core not in (GateType.OR, GateType.XOR),
+                         state.values.shape[1])
     return core, invert, base
 
 

@@ -68,8 +68,8 @@ class FaultDictionary:
         self._signatures: dict = {}
         #: Faults dropped without simulation because the implication
         #: bundle proves them untestable (zero detection mask under any
-        #: vector set — behaviourally identical to the popcount filter
-        #: below, minus the fault-simulation cost).
+        #: vector set — behaviourally identical to the empty-response
+        #: filter below, minus the fault-simulation cost).
         self.statically_skipped = 0
         skip: frozenset = frozenset()
         if static_skip:
@@ -81,34 +81,12 @@ class FaultDictionary:
             if (fault.line, fault.value) in skip:
                 self.statically_skipped += 1
                 continue
-            mask = fsim.detection_mask(fault)
-            if popcount(mask) == 0:
+            response = fsim.output_response(fault)
+            if not response.any():
                 continue  # undetectable: never a candidate
-            if full_response:
-                line = self.table[fault.line]
-                forced = (np.zeros_like(fsim.values[line.driver])
-                          if fault.value == 0 else
-                          np.full_like(fsim.values[line.driver],
-                                       np.uint64(0xFFFFFFFFFFFFFFFF)))
-                from ..sim.logicsim import propagate
-                if line.is_stem:
-                    changed = propagate(netlist, fsim.values,
-                                        stem_overrides={line.driver:
-                                                        forced})
-                else:
-                    changed = propagate(
-                        netlist, fsim.values,
-                        pin_overrides={(line.sink, line.pin): forced})
-                rows = []
-                for pos, po in enumerate(netlist.outputs):
-                    row = changed.get(po)
-                    rows.append((row ^ self._good_out[pos])
-                                if row is not None
-                                else np.zeros_like(self._good_out[pos]))
-                signature = masked(np.vstack(rows), patterns.nbits)
-            else:
-                signature = mask[np.newaxis, :]
-            self._signatures[fault.key()] = signature
+            self._signatures[fault.key()] = (
+                response if full_response
+                else np.bitwise_or.reduce(response, axis=0, keepdims=True))
 
     def __len__(self) -> int:
         return len(self._signatures)

@@ -171,18 +171,11 @@ class SatDiagnoser:
         builder = CnfBuilder(SatSolver())
         netlist = self.good
         sel = {}
+        site_sel = {}    # the same selector pairs, keyed by line site
         for line_index in self.suspects:
-            sel[line_index] = (builder.new_var(), builder.new_var())
-            builder.add([-sel[line_index][0], -sel[line_index][1]])
-        # suspects indexed by (kind: stem driver / branch sink+pin)
-        stem_sel = {}
-        pin_sel = {}
-        for line_index, (s0, s1) in sel.items():
-            line = self.table[line_index]
-            if line.is_stem:
-                stem_sel[line.driver] = (s0, s1)
-            else:
-                pin_sel[(line.sink, line.pin)] = (s0, s1)
+            pair = (builder.new_var(), builder.new_var())
+            builder.add([-pair[0], -pair[1]])
+            sel[line_index] = site_sel[self.table[line_index].site] = pair
 
         # The structure is the same for every vector: walk it once.
         live = netlist.live_set() | set(netlist.inputs)
@@ -200,12 +193,12 @@ class SatDiagnoser:
                 else:
                     pin_vars = []
                     for pin, src in enumerate(gate.fanin):
-                        selector = pin_sel.get((idx, pin))
+                        selector = site_sel.get((idx, pin))
                         pin_vars.append(
                             modeled[src] if selector is None
                             else _forced(builder, selector, modeled[src]))
                     builder.encode_gate(gate.gtype, var, pin_vars)
-                selector = stem_sel.get(idx)
+                selector = site_sel.get(idx)
                 modeled[idx] = (var if selector is None
                                 else _forced(builder, selector, var))
             for po_pos, po in enumerate(netlist.outputs):

@@ -173,8 +173,8 @@ def screen_corrections(state: DiagnosisState, corrections,
        (:meth:`DiagnosisState.outcome_of_override`), which gives each
        one's rectified, broken and fixed-pair counts;
     3. heuristic 3 rejects survivors whose kept-correct fraction falls
-       below ``h3``; ``h3 <= 0`` disables it (exact mode uses this so no
-       valid tuple is pruned).
+       below ``h3``; ``h3 <= 0`` disables it (the ablation's "no
+       heuristic 3" and "no screening" schedules).
 
     Survivors keep their input order and own their rows.
     """

@@ -31,7 +31,7 @@ from ..circuit.netlist import Netlist
 from ..errors import DiagnosisError
 from ..circuit.unroll import unroll
 from ..sim.logicsim import propagate, simulate
-from ..sim.packing import popcount
+from ..sim.packing import const_row, popcount
 from . import clock
 from .bitlists import error_partition, reference_outputs
 from .config import DiagnosisConfig
@@ -39,8 +39,6 @@ from .pipeline import DiagnosisSession, SearchStrategy, TraceWriter
 from .report import (CorrectionRecord, EngineStats, Solution,
                      mark_truncated)
 from .screening import theorem1_bound
-
-_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 @dataclass
@@ -226,7 +224,7 @@ class TimeFrameDiagnoser:
 
     # ------------------------------------------------------------------
     def _map_lines(self) -> dict:
-        """line index -> per-frame (stem signals, pin overrides).
+        """line index -> the sites its joint fault forces, over frames.
 
         A stem fault forces the signal's instance in every frame.  A
         branch fault forces one pin of the sink's instance per frame;
@@ -240,8 +238,7 @@ class TimeFrameDiagnoser:
 
         mapping: dict = {}
         for line in self.table:
-            stems = []
-            pins = []
+            sites = []
             sink_is_dff = (line.sink is not None and
                            self.spec.gates[line.sink].gtype
                            is GateType.DFF)
@@ -251,17 +248,17 @@ class TimeFrameDiagnoser:
                 if driver is None:
                     continue
                 if line.is_stem:
-                    stems.append(driver)
+                    sites.append(driver)
                     continue
                 sink = inst.get(line.sink)
                 if sink is None:
                     continue
                 if sink_is_dff:
                     if t >= 1:
-                        pins.append((sink, 0))
+                        sites.append((sink, 0))
                 else:
-                    pins.append((sink, line.pin))
-            mapping[line.index] = (stems, pins)
+                    sites.append((sink, line.pin))
+            mapping[line.index] = sites
         return mapping
 
     def _state_from_values(self, values: np.ndarray,
@@ -274,14 +271,12 @@ class TimeFrameDiagnoser:
     def _joint_delta(self, state: _JointState, line_index: int,
                      value: int) -> np.ndarray:
         """Union over frames of the bits a joint stuck-at would flip."""
-        stems, pins = self._line_instances[line_index]
         delta = np.zeros_like(state.err_mask)
-        forced = np.full(len(delta), _ONES, dtype=np.uint64) if value \
-            else np.zeros(len(delta), dtype=np.uint64)
-        for sig in stems:
-            delta |= state.values[sig] ^ forced
-        for (sink, pin) in pins:
-            src = self.model.gates[sink].fanin[pin]
+        forced = const_row(value, len(delta))
+        gates = self.model.gates
+        for site in self._line_instances[line_index]:
+            src = (gates[site[0]].fanin[site[1]] if isinstance(site, tuple)
+                   else site)
             delta |= state.values[src] ^ forced
         return delta
 
@@ -290,25 +285,16 @@ class TimeFrameDiagnoser:
         """New state with the joint stuck-at imposed (value overrides,
         no structural mutation — frames share nothing downstream that a
         value override cannot express)."""
-        stems, pins = self._line_instances[line_index]
         nwords = state.values.shape[1]
-        forced_row = (np.full(nwords, _ONES, dtype=np.uint64) if value
-                      else np.zeros(nwords, dtype=np.uint64))
-        stem_over = {sig: forced_row for sig in stems}
-        pin_over = {(sink, pin): forced_row for (sink, pin) in pins}
+        forced_row = const_row(value, nwords)
+        overrides = {site: forced_row
+                     for site in self._line_instances[line_index]}
         # previously forced lines must stay forced during re-propagation
         for (prev_line, prev_value) in state.forced.items():
-            prev_row = (np.full(nwords, _ONES, dtype=np.uint64)
-                        if prev_value else
-                        np.zeros(nwords, dtype=np.uint64))
-            p_stems, p_pins = self._line_instances[prev_line]
-            for sig in p_stems:
-                stem_over.setdefault(sig, prev_row)
-            for key in p_pins:
-                pin_over.setdefault(key, prev_row)
-        changed = propagate(self.model, state.values,
-                            stem_overrides=stem_over,
-                            pin_overrides=pin_over)
+            prev_row = const_row(prev_value, nwords)
+            for site in self._line_instances[prev_line]:
+                overrides.setdefault(site, prev_row)
+        changed = propagate(self.model, state.values, overrides)
         values = np.array(state.values, copy=True)
         for idx, row in changed.items():
             values[idx] = row

@@ -28,9 +28,9 @@ import numpy as np
 from ..circuit.gatetypes import GateType
 from ..circuit.netlist import Netlist
 from ..errors import InjectionError
-from ..sim.compare import masked
+from ..sim.compare import equivalent
 from ..sim.logicsim import output_rows, simulate
-from ..sim.packing import PatternSet, popcount, row_popcounts
+from ..sim.packing import PatternSet, row_popcounts
 from .inject import InjectionRecord, Workload
 
 
@@ -177,26 +177,18 @@ class BridgingDiagnoser:
         self.patterns = patterns
         self.partner_limit = partner_limit
         self.time_budget = time_budget
-        self.device_out = output_rows(device,
-                                      simulate(device, patterns))
-        self.values = simulate(good, patterns)
-        good_out = output_rows(good, self.values)
-        diff = masked(good_out ^ self.device_out, patterns.nbits)
-        self.err_mask = np.bitwise_or.reduce(diff, axis=0)
-        full = np.full_like(self.err_mask,
-                            np.uint64(0xFFFFFFFFFFFFFFFF))
-        from ..sim.packing import tail_mask
-        full[-1] = tail_mask(patterns.nbits)
-        self.corr_mask = self.err_mask ^ full
+        from ..diagnose.bitlists import DiagnosisState, reference_outputs
+
+        self.device_out = reference_outputs(device, patterns)
+        # The good netlist's values and its failing/passing partition
+        # against the device: the pair scorer's inputs and path trace's.
+        self.state = DiagnosisState(good, patterns, self.device_out)
 
     def _anchors(self) -> list[int]:
-        from ..diagnose.bitlists import DiagnosisState
         from ..diagnose.pathtrace import marked_lines, path_trace_counts
 
-        state = DiagnosisState(self.good, self.patterns,
-                               self.device_out)
-        counts = path_trace_counts(state)
-        table = state.table
+        counts = path_trace_counts(self.state)
+        table = self.state.table
         drivers = []
         seen = set()
         for line in marked_lines(counts):
@@ -210,7 +202,8 @@ class BridgingDiagnoser:
         result = BridgingResult()
         t0 = time.perf_counter()
         deadline = t0 + self.time_budget if self.time_budget else None
-        if popcount(self.err_mask) == 0:
+        state = self.state
+        if state.num_err == 0:
             result.total_time = time.perf_counter() - t0
             return result
         seen_pairs: set = set()
@@ -219,8 +212,8 @@ class BridgingDiagnoser:
                 break
             for kind in BridgeKind:
                 partners = scored_bridge_partners(
-                    self.good, self.values, anchor, self.err_mask,
-                    self.corr_mask, kind, self.partner_limit)
+                    self.good, state.values, anchor, state.err_mask,
+                    state.corr_mask, kind, self.partner_limit)
                 for partner in partners:
                     key = (kind, frozenset((anchor, partner)))
                     if key in seen_pairs:
@@ -235,7 +228,6 @@ class BridgingDiagnoser:
                     out = output_rows(candidate,
                                       simulate(candidate,
                                                self.patterns))
-                    from ..sim.compare import equivalent
                     if equivalent(out, self.device_out,
                                   self.patterns.nbits):
                         result.faults.append(BridgingFault(

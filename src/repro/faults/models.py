@@ -24,6 +24,7 @@ from ..circuit.gatetypes import GateType, eval_words
 from ..circuit.lines import LineTable
 from ..circuit.netlist import Netlist
 from ..errors import InjectionError
+from ..sim.packing import const_row
 
 
 class CorrectionKind(enum.Enum):
@@ -196,14 +197,13 @@ def corrected_line_words(netlist: Netlist, table: LineTable,
     """
     line = table[corr.line]
     kind = corr.kind
-    ones = np.uint64(0xFFFFFFFFFFFFFFFF)
     current = values[line.driver]
     if kind is CorrectionKind.STUCK_AT_0:
-        return np.zeros_like(current)
+        return const_row(0, len(current))
     if kind is CorrectionKind.STUCK_AT_1:
-        return np.full_like(current, ones)
+        return const_row(1, len(current))
     if kind is CorrectionKind.INSERT_INVERTER:
-        return current ^ ones
+        return ~current
     driver = netlist.gates[line.driver]
     if kind is CorrectionKind.REMOVE_INVERTER:
         if driver.gtype is not GateType.NOT:

@@ -16,7 +16,7 @@ import numpy as np
 from ..circuit.lines import LineTable
 from ..circuit.netlist import Netlist
 from .logicsim import output_rows, propagate, simulate
-from .packing import PatternSet, popcount, tail_mask
+from .packing import PatternSet, const_row, popcount, tail_mask
 
 
 @dataclass(frozen=True)
@@ -51,27 +51,24 @@ class FaultSimulator:
         self.good_outputs = output_rows(netlist, self.values)
         self._tail = tail_mask(patterns.nbits)
 
-    def detection_mask(self, fault: SimFault) -> np.ndarray:
-        """Packed mask of vectors detecting ``fault`` at some output."""
+    def output_response(self, fault: SimFault) -> np.ndarray:
+        """Per-output packed mismatch rows of ``fault`` (tail-masked):
+        bit *v* of row *p* is set when vector *v* shows the fault at
+        primary output *p*.  One propagate of the stuck line's cone."""
         line = self.table[fault.line]
-        forced = (np.zeros_like(self.values[line.driver])
-                  if fault.value == 0
-                  else np.full_like(self.values[line.driver],
-                                    np.uint64(0xFFFFFFFFFFFFFFFF)))
-        if line.is_stem:
-            changed = propagate(self.netlist, self.values,
-                                stem_overrides={line.driver: forced})
-        else:
-            changed = propagate(self.netlist, self.values,
-                                pin_overrides={(line.sink, line.pin):
-                                               forced})
-        mask = np.zeros(self.values.shape[1], dtype=np.uint64)
-        for po_pos, po in enumerate(self.netlist.outputs):
+        forced = const_row(fault.value, self.values.shape[1])
+        changed = propagate(self.netlist, self.values, {line.site: forced})
+        rows = np.zeros_like(self.good_outputs)
+        for pos, po in enumerate(self.netlist.outputs):
             row = changed.get(po)
             if row is not None:
-                mask |= row ^ self.good_outputs[po_pos]
-        mask[-1] &= self._tail
-        return mask
+                rows[pos] = row ^ self.good_outputs[pos]
+        rows[:, -1] &= self._tail
+        return rows
+
+    def detection_mask(self, fault: SimFault) -> np.ndarray:
+        """Packed mask of vectors detecting ``fault`` at some output."""
+        return np.bitwise_or.reduce(self.output_response(fault), axis=0)
 
     def detects(self, fault: SimFault) -> bool:
         return popcount(self.detection_mask(fault)) > 0

@@ -35,9 +35,10 @@ actually touches are converted, lazily, and changed rows are converted
 back to ``uint64`` arrays at the end.  The property tests check it
 against a full topological scan kept under ``tests/sim``.
 
-Overrides come in two flavours mirroring the line model: a *stem*
-override replaces a signal everywhere; a *pin* override replaces the
-value seen by one specific (gate, pin) — i.e. a fanout branch.
+Overrides are keyed by a line's *site*
+(:attr:`repro.circuit.lines.Line.site`), in one map: an int key (a
+stem) replaces a signal for every consumer, a ``(sink, pin)`` key (a
+fanout branch) replaces the value one gate sees on one fanin.
 """
 
 from __future__ import annotations
@@ -139,9 +140,7 @@ def output_rows(netlist: Netlist, values: np.ndarray) -> np.ndarray:
 
 
 def propagate(netlist: Netlist, values: np.ndarray,
-              stem_overrides: Mapping[int, np.ndarray] | None = None,
-              pin_overrides: Mapping[tuple, np.ndarray] | None = None,
-              base_ints: dict | None = None,
+              overrides: Mapping, base_ints: dict | None = None,
               forced_slots: Mapping | None = None) -> dict:
     """Re-simulate the fanout cone of the overridden signals.
 
@@ -161,10 +160,9 @@ def propagate(netlist: Netlist, values: np.ndarray,
     shape.
 
     **Per-slot sites.**  By default an override forces its site in
-    every slot.  ``forced_slots`` maps a site (a key of
-    ``stem_overrides`` or ``pin_overrides``) to the slots it forces; in
-    its other slots the site runs free and the stack's rows there are
-    ignored.  So k hypotheses on k *different* sites share one sweep,
+    every slot.  ``forced_slots`` maps a site (a key of ``overrides``)
+    to the slots it forces; in its other slots the site runs free and
+    the stack's rows there are ignored.  So k hypotheses on k *different* sites share one sweep,
     slot *s* forcing only its own site (heuristic 1 inverts one suspect
     line per slot).  A partly forced stem that lies downstream of
     another slot's site is re-evaluated for its free slots, then
@@ -173,8 +171,9 @@ def propagate(netlist: Netlist, values: np.ndarray,
 
     Args:
         values: baseline value matrix from :func:`simulate` (not modified).
-        stem_overrides: {signal: packed words} forced for all consumers.
-        pin_overrides: {(sink_gate, pin): packed words} forced for one pin.
+        overrides: {site: packed words}.  An int site is a signal,
+            forced for all its consumers; a ``(sink_gate, pin)`` site is
+            one fanin of one gate, forced for that gate only.
         base_ints: optional {gate: big-int row} cache of *baseline*
             conversions, owned by the caller and reused across calls that
             share one ``values`` matrix (a suspect sweep converts the
@@ -191,18 +190,16 @@ def propagate(netlist: Netlist, values: np.ndarray,
         stems (even when equal); rows have the overrides' shape.  Look
         up a gate first in this dict, then in ``values``.
     """
-    stem_overrides = dict(stem_overrides or {})
-    pin_overrides = dict(pin_overrides or {})
-    if not stem_overrides and not pin_overrides:
+    if not overrides:
         return {}
     gates = netlist.gates
     efanouts = netlist.event_fanouts()
     levels = netlist.levels()
     ops, fanins = _sim_tables(netlist)
     nwords = values.shape[1]
-    shape = next(iter((stem_overrides or pin_overrides).values())).shape
+    shape = next(iter(overrides.values())).shape
     slots = 1 if len(shape) == 1 else shape[0]
-    for words in (*stem_overrides.values(), *pin_overrides.values()):
+    for words in overrides.values():
         if words.shape != shape:
             raise SimulationError(
                 f"override shapes differ: {words.shape} vs {shape}")
@@ -213,8 +210,7 @@ def propagate(netlist: Netlist, values: np.ndarray,
     keep_of: dict = {}
     forced_of: dict = {}
     for site, chosen in (forced_slots or {}).items():
-        stack = (pin_overrides if isinstance(site, tuple)
-                 else stem_overrides).get(site)
+        stack = overrides.get(site)
         if stack is None or stack.ndim != 2:
             raise SimulationError(
                 f"forced_slots names {site!r}, which has no stacked "
@@ -249,7 +245,14 @@ def propagate(netlist: Netlist, values: np.ndarray,
             heapq.heappush(level_heap, lev)
         bucket.append(idx)
 
-    for sig, words in stem_overrides.items():
+    # Stems seed first, then pins, each in the map's order.
+    stems: dict = {}              # the forced stems, returned as given
+    pin_sites: list = []
+    for sig, words in overrides.items():
+        if isinstance(sig, tuple):
+            pin_sites.append((sig, words))
+            continue
+        stems[sig] = words
         b = base_get(sig)
         if b is None:
             base[sig] = b = _row_to_int(values[sig], slots)
@@ -262,13 +265,14 @@ def propagate(netlist: Netlist, values: np.ndarray,
         for sink in efanouts[sig]:
             schedule(sink)
     pins_by_sink: dict[int, dict] = {}
-    for (sink, pin), words in pin_overrides.items():
+    for site, words in pin_sites:
+        sink, pin = site
         if gates[sink].gtype in _PASSIVE_TYPES:
             continue  # sources hold their value; DFF edges are sequential
-        keep = keep_of.get((sink, pin))
+        keep = keep_of.get(site)
         pins_by_sink.setdefault(sink, {})[pin] = (
             _row_to_int(words) if keep is None
-            else (keep, forced_of[(sink, pin)]))
+            else (keep, forced_of[site]))
         schedule(sink)
 
     # Every scheduled gate is evaluable: event fanouts exclude DFFs, and
@@ -276,7 +280,7 @@ def propagate(netlist: Netlist, values: np.ndarray,
     while level_heap:
         lev = heapq.heappop(level_heap)
         for idx in buckets.pop(lev):
-            if idx in stem_overrides and idx not in keep_of:
+            if idx in stems and idx not in keep_of:
                 continue  # forced in every slot, do not recompute
             pin_map = pins_by_sink.get(idx) if pins_by_sink else None
             op, invert = ops[idx]
@@ -326,9 +330,9 @@ def propagate(netlist: Netlist, values: np.ndarray,
             diff.append(idx)
             for sink in efanouts[idx]:
                 schedule(sink)
-    changed: dict = dict(stem_overrides)
+    changed: dict = stems
     # Partly forced stems report their real rows, not their stacks.
-    emit = diff + [sig for sig in stem_overrides
+    emit = diff + [sig for sig in stems
                    if sig in keep_of] if keep_of else diff
     if emit:
         # One buffer + one frombuffer for all emitted rows (the returned

@@ -38,6 +38,12 @@ def tail_mask(nbits: int) -> np.uint64:
     return np.uint64((1 << rem) - 1)
 
 
+def const_row(value: int, nwords: int) -> np.ndarray:
+    """A packed row holding ``value`` (0 or 1) under every vector, e.g.
+    the forced words of a stuck-at line."""
+    return np.full(nwords, _ALL_ONES if value else 0, dtype=np.uint64)
+
+
 def popcount(words: np.ndarray) -> int:
     """Total number of set bits across ``words`` (any shape)."""
     if _HAS_BITWISE_COUNT:

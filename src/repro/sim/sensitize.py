@@ -19,7 +19,7 @@ from ..circuit.lines import LineTable
 from ..circuit.netlist import Netlist
 from ..sim.faultsim import SimFault
 from ..sim.logicsim import propagate
-from ..sim.packing import WORD_BITS, popcount
+from ..sim.packing import WORD_BITS, const_row, popcount, tail_mask
 
 
 def sensitization_masks(netlist: Netlist, values: np.ndarray,
@@ -31,17 +31,9 @@ def sensitization_masks(netlist: Netlist, values: np.ndarray,
     line's own stem is included when its value actually changes.
     """
     line = table[fault.line]
-    forced = (np.zeros_like(values[line.driver]) if fault.value == 0
-              else np.full_like(values[line.driver],
-                                np.uint64(0xFFFFFFFFFFFFFFFF)))
-    if line.is_stem:
-        changed = propagate(netlist, values,
-                            stem_overrides={line.driver: forced})
-    else:
-        changed = propagate(netlist, values,
-                            pin_overrides={(line.sink, line.pin):
-                                           forced})
-    from .packing import tail_mask
+    changed = propagate(netlist, values,
+                        {line.site: const_row(fault.value,
+                                              values.shape[1])})
     tail = tail_mask(nbits)
     masks = {}
     for signal, row in changed.items():

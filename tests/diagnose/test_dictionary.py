@@ -1,11 +1,15 @@
 """Ranked fault-dictionary diagnosis."""
 
+import sys
+
 import pytest
 
 from repro.circuit import generators
+from repro.diagnose.baselines import dictionary_diagnosis
 from repro.diagnose.dictionary import FaultDictionary
 from repro.faults import inject_stuck_at_faults
-from repro.sim import PatternSet
+from repro.faults.bridging import BridgingDiagnoser, inject_bridging_fault
+from repro.sim import PatternSet, count_failing, logicsim, output_rows
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +75,43 @@ def test_clean_device_has_zero_hit_candidates(c17_dict):
     matches = dictionary.lookup(circuit.copy(), top=3)
     assert all(m.hits == 0 for m in matches)
     assert not any(m.exact for m in matches)
+
+
+def count_calls(monkeypatch, func):
+    """Route every loaded ``repro`` module's binding of ``func`` through
+    a counter; returns the list of netlists it is called on."""
+    seen = []
+
+    def counted(netlist, *args, **kwargs):
+        seen.append(netlist)
+        return func(netlist, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and \
+                getattr(module, func.__name__, None) is func:
+            monkeypatch.setattr(module, func.__name__, counted)
+    return seen
+
+
+def test_each_fault_and_good_netlist_simulated_once(c17, monkeypatch):
+    """A full-response dictionary propagates each simulated fault once,
+    and the dictionary and bridging diagnosers simulate the good
+    netlist once."""
+    patterns = PatternSet.exhaustive(5)
+    propagates = count_calls(monkeypatch, logicsim.propagate)
+    dictionary = FaultDictionary(c17, patterns, full_response=True)
+    simulated = 2 * len(dictionary.table) - dictionary.statically_skipped
+    assert len(propagates) == simulated
+
+    simulations = count_calls(monkeypatch, logicsim.simulate)
+    impl = inject_stuck_at_faults(c17, 1, seed=1).impl
+    dictionary_diagnosis(c17, impl, patterns)
+    assert sum(netlist is c17 for netlist in simulations) == 1
+
+    device = inject_bridging_fault(c17, seed=0).impl
+    good_out = output_rows(c17, logicsim.simulate(c17, patterns))
+    device_out = output_rows(device, logicsim.simulate(device, patterns))
+    assert count_failing(good_out, device_out, patterns.nbits)
+    simulations.clear()
+    BridgingDiagnoser(device, c17, patterns).run()
+    assert sum(netlist is c17 for netlist in simulations) == 1

@@ -132,10 +132,9 @@ def test_invariant_checker_trips_on_a_corrupted_slot(monkeypatch):
 
     real = bitlists.propagate
 
-    def corrupt_slot_1(netlist, values, **kwargs):
-        changed = real(netlist, values, **kwargs)
-        stack, = {**(kwargs.get("stem_overrides") or {}),
-                  **(kwargs.get("pin_overrides") or {})}.values()
+    def corrupt_slot_1(netlist, values, overrides, **kwargs):
+        changed = real(netlist, values, overrides, **kwargs)
+        stack, = overrides.values()
         if stack.ndim == 2:
             for pos, po in enumerate(netlist.outputs):
                 rows = changed.get(po)

@@ -15,32 +15,34 @@ _PASSIVE = (GateType.INPUT, GateType.DFF, GateType.CONST0,
             GateType.CONST1)
 
 
-def propagate_scan(netlist, values, stem_overrides=None,
-                   pin_overrides=None) -> dict:
-    """Same contract and returned dict as one-row ``propagate``."""
-    stem_overrides = dict(stem_overrides or {})
-    pin_overrides = dict(pin_overrides or {})
-    if not stem_overrides and not pin_overrides:
+def propagate_scan(netlist, values, overrides) -> dict:
+    """Same contract, site-keyed ``overrides`` and returned dict as
+    one-row ``propagate``."""
+    if not overrides:
         return {}
+    stems = {site: words for site, words in overrides.items()
+             if not isinstance(site, tuple)}
     cone = set()
-    for sig in stem_overrides:
-        cone |= netlist.fanout_cone(sig)
-    for (sink, _pin) in pin_overrides:
-        cone |= netlist.fanout_cone(sink)
-        cone.add(sink)
-    changed: dict = dict(stem_overrides)
+    for site in overrides:
+        if isinstance(site, tuple):
+            sink, _pin = site
+            cone |= netlist.fanout_cone(sink)
+            cone.add(sink)
+        else:
+            cone |= netlist.fanout_cone(site)
+    changed: dict = dict(stems)
     gates = netlist.gates
     for idx in netlist.topo_order():
         if idx not in cone:
             continue
         gate = gates[idx]
-        if idx in stem_overrides:
+        if idx in stems:
             continue  # forced value, do not recompute
         if gate.gtype in _PASSIVE:
             continue
         ins = []
         for pin, src in enumerate(gate.fanin):
-            override = pin_overrides.get((idx, pin))
+            override = overrides.get((idx, pin))
             if override is not None:
                 ins.append(override)
             elif src in changed:

@@ -6,11 +6,12 @@ import pytest
 from repro.circuit import LineTable, generators
 from repro.sim import (FaultSimulator, PatternSet, SimFault, all_faults,
                        output_rows, popcount, simulate)
-from repro.sim.compare import failing_vector_mask
+from repro.sim.compare import diff_rows, failing_vector_mask
 
 
-def brute_force_mask(netlist, table, fault, patterns):
-    """Inject the fault structurally and compare full simulations."""
+def brute_force_outputs(netlist, table, fault, patterns):
+    """Inject the fault structurally; good and faulty output rows from
+    full simulations."""
     mutated = netlist.copy()
     line = table[fault.line]
     if line.is_stem:
@@ -19,19 +20,28 @@ def brute_force_mask(netlist, table, fault, patterns):
         mutated.tie_branch_to_constant(line.sink, line.pin, fault.value)
     good = output_rows(netlist, simulate(netlist, patterns))
     bad = output_rows(mutated, simulate(mutated, patterns))
-    return failing_vector_mask(good, bad, patterns.nbits)
+    return good, bad
 
 
 @pytest.mark.parametrize("name", ["c17", "r432"])
 def test_detection_masks_match_brute_force(name):
+    """Detection masks, and the per-output response rows they are the
+    OR of, equal structural injection (every stem and branch fault)."""
     circuit = generators.by_name(name, scale=0.25)
     table = LineTable(circuit)
     patterns = PatternSet.random(circuit.num_inputs, 192, seed=9)
     fsim = FaultSimulator(circuit, patterns, table)
     for fault in all_faults(table):
+        where = table.describe(fault.line)
+        good, bad = brute_force_outputs(circuit, table, fault, patterns)
         got = fsim.detection_mask(fault)
-        want = brute_force_mask(circuit, table, fault, patterns)
-        assert np.array_equal(got, want), table.describe(fault.line)
+        want = failing_vector_mask(good, bad, patterns.nbits)
+        assert np.array_equal(got, want), where
+        rows = fsim.output_response(fault)
+        want_rows = diff_rows(good, bad, patterns.nbits)
+        assert rows.shape == want_rows.shape, where
+        for pos in range(len(circuit.outputs)):
+            assert np.array_equal(rows[pos], want_rows[pos]), (where, pos)
 
 
 def test_all_faults_count(c17):

@@ -80,7 +80,7 @@ def test_propagate_stem_matches_full_resim(alu4):
     values = simulate(alu4, pats)
     target = alu4.index_of("fa1_s")
     forced = np.zeros_like(values[target])
-    changed = propagate(alu4, values, stem_overrides={target: forced})
+    changed = propagate(alu4, values, {target: forced})
     # reference: copy values, force row, re-simulate downstream by
     # building a mutated netlist where the signal is a constant
     mutated = alu4.copy()
@@ -98,8 +98,7 @@ def test_propagate_pin_override_is_local(c17):
     g19 = c17.index_of("19")
     # force gate 16's view of signal 11 to zero; gate 19 still sees 11
     forced = np.zeros_like(values[0])
-    changed = propagate(c17, values,
-                        pin_overrides={(g16, 1): forced})
+    changed = propagate(c17, values, {(g16, 1): forced})
     mutated = c17.copy()
     mutated.tie_branch_to_constant(g16, 1, 0)
     ref = simulate(mutated, pats)
@@ -110,12 +109,12 @@ def test_propagate_pin_override_is_local(c17):
 
 def test_propagate_empty_override_is_noop(c17, patterns256):
     values = simulate(c17, patterns256)
-    assert propagate(c17, values) == {}
+    assert propagate(c17, values, {}) == {}
 
 
 def test_propagate_reports_only_changes(c17, patterns256):
     values = simulate(c17, patterns256)
     target = c17.index_of("10")
     same = values[target].copy()
-    changed = propagate(c17, values, stem_overrides={target: same})
+    changed = propagate(c17, values, {target: same})
     assert set(changed) == {target}  # override recorded, nothing changed

@@ -24,8 +24,7 @@ def test_multiple_stem_overrides_compose():
     zeros = np.zeros_like(values[0])
     ones = np.full_like(values[0], np.uint64(0xFFFFFFFFFFFFFFFF))
     changed = propagate(nl, values,
-                        stem_overrides={nl.index_of("g1"): ones,
-                                        nl.index_of("a"): zeros})
+                        {nl.index_of("g1"): ones, nl.index_of("a"): zeros})
     # reference: mutate structurally
     ref = nl.copy()
     ref.tie_stem_to_constant(ref.index_of("g1"), 1)
@@ -43,8 +42,7 @@ def test_mixed_stem_and_pin_overrides():
     ones = np.full_like(values[0], np.uint64(0xFFFFFFFFFFFFFFFF))
     g2 = nl.index_of("g2")
     changed = propagate(nl, values,
-                        stem_overrides={nl.index_of("b"): ones},
-                        pin_overrides={(g2, 1): ones})
+                        {nl.index_of("b"): ones, (g2, 1): ones})
     ref = nl.copy()
     ref.tie_stem_to_constant(ref.index_of("b"), 1)
     ref.tie_branch_to_constant(g2, 1, 1)

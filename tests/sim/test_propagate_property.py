@@ -33,28 +33,28 @@ _PASSIVE = (GateType.INPUT, GateType.DFF, GateType.CONST0,
 NBITS_CASES = (1, 63, 64, 65, 1000)
 
 
-def resim_oracle(netlist, values, stem_overrides=None,
-                 pin_overrides=None):
+def resim_oracle(netlist, values, overrides):
     """From-scratch re-evaluation of the whole netlist under overrides.
 
     Independent of both kernels: no cones, no events — every gate is
     recomputed in topological order, then diffed against the baseline.
+    ``overrides`` is site-keyed, as :func:`propagate` takes it.
     """
-    stem_overrides = dict(stem_overrides or {})
-    pin_overrides = dict(pin_overrides or {})
+    stems = {site: words for site, words in overrides.items()
+             if not isinstance(site, tuple)}
     after = values.copy()
-    for sig, words in stem_overrides.items():
+    for sig, words in stems.items():
         after[sig] = words
     for idx in netlist.topo_order():
         gate = netlist.gates[idx]
-        if idx in stem_overrides or gate.gtype in _PASSIVE:
+        if idx in stems or gate.gtype in _PASSIVE:
             continue
         ins = []
         for pin, src in enumerate(gate.fanin):
-            words = pin_overrides.get((idx, pin))
+            words = overrides.get((idx, pin))
             ins.append(after[src] if words is None else words)
         after[idx] = eval_words(gate.gtype, ins)
-    changed = dict(stem_overrides)
+    changed = dict(stems)
     for idx in range(len(netlist.gates)):
         if idx not in changed and \
                 not np.array_equal(after[idx], values[idx]):
@@ -87,9 +87,8 @@ def test_stem_overrides_match_oracle_and_scan(nbits, seed):
         stems = {sig: random_row(rng, patterns.num_words)
                  for sig in rng.sample(range(len(circuit.gates)), n_stems)}
         reference = resim_oracle(circuit, values, stems)
-        event = propagate(circuit, values, stem_overrides=stems,
-                          base_ints=cache)
-        scan = propagate_scan(circuit, values, stem_overrides=stems)
+        event = propagate(circuit, values, stems, base_ints=cache)
+        scan = propagate_scan(circuit, values, stems)
         assert_same_changes(event, reference)
         assert_same_changes(scan, reference)
 
@@ -111,11 +110,9 @@ def test_pin_and_mixed_overrides_match_oracle(nbits, seed):
         if trial:  # mixed stem + pin overrides on later trials
             sig = rng.randrange(len(circuit.gates))
             stems[sig] = random_row(rng, patterns.num_words)
-        reference = resim_oracle(circuit, values, stems, pins)
-        event = propagate(circuit, values, stem_overrides=stems,
-                          pin_overrides=pins)
-        scan = propagate_scan(circuit, values, stem_overrides=stems,
-                              pin_overrides=pins)
+        reference = resim_oracle(circuit, values, {**stems, **pins})
+        event = propagate(circuit, values, {**stems, **pins})
+        scan = propagate_scan(circuit, values, {**stems, **pins})
         assert_same_changes(event, reference)
         assert_same_changes(scan, reference)
 
@@ -127,7 +124,7 @@ def test_equal_override_seeds_no_events(nbits):
     values = simulate(circuit, patterns)
     sig = circuit.outputs[0]
     same = values[sig].copy()
-    changed = propagate(circuit, values, stem_overrides={sig: same})
+    changed = propagate(circuit, values, {sig: same})
     # contract: the overridden stem is reported even though it is equal,
     # and nothing downstream is touched
     assert set(changed) == {sig}
@@ -144,7 +141,7 @@ def test_events_do_not_cross_dffs():
     sources = {circuit.gates[ff].fanin[0] for ff in dffs}
     stems = {src: random_row(rng, patterns.num_words) for src in sources}
     reference = resim_oracle(circuit, values, stems)
-    event = propagate(circuit, values, stem_overrides=stems)
+    event = propagate(circuit, values, stems)
     assert_same_changes(event, reference)
     assert not (set(event) & dffs)
 
@@ -152,10 +149,8 @@ def test_events_do_not_cross_dffs():
 def single_slot_results(circuit, values, stems, pins, slots):
     """One one-row propagate per slot of k-slot override stacks."""
     return [propagate(circuit, values,
-                      stem_overrides={sig: rows[s]
-                                      for sig, rows in stems.items()},
-                      pin_overrides={key: rows[s]
-                                     for key, rows in pins.items()})
+                      {site: rows[s]
+                       for site, rows in {**stems, **pins}.items()})
             for s in range(slots)]
 
 
@@ -200,8 +195,7 @@ def test_packed_slots_match_one_row_propagates(kind, slots, nbits):
             pin = rng.randrange(len(circuit.gates[sink].fanin))
             src = circuit.gates[sink].fanin[pin]
             pins[(sink, pin)] = slot_stack(rng, values, src, slots)
-        packed = propagate(circuit, values, stem_overrides=stems,
-                           pin_overrides=pins)
+        packed = propagate(circuit, values, {**stems, **pins})
         singles = single_slot_results(circuit, values, stems, pins, slots)
         assert_slots_match(circuit, values, packed, singles)
 
@@ -216,9 +210,8 @@ def test_packed_pin_override_into_dff_is_inert(slots):
     sig = circuit.gates[ff].fanin[0]
     pins = {(ff, 0): slot_stack(rng, values, sig, slots)}
     stems = {sig: slot_stack(rng, values, sig, slots)}
-    assert propagate(circuit, values, pin_overrides=pins) == {}
-    packed = propagate(circuit, values, stem_overrides=stems,
-                       pin_overrides=pins)
+    assert propagate(circuit, values, pins) == {}
+    packed = propagate(circuit, values, {**stems, **pins})
     singles = single_slot_results(circuit, values, stems, pins, slots)
     assert_slots_match(circuit, values, packed, singles)
     assert ff not in packed
@@ -230,7 +223,7 @@ def test_all_baseline_slots_seed_no_events():
     values = simulate(circuit, patterns)
     sig = circuit.inputs[0]
     same = np.stack([values[sig]] * 4)
-    changed = propagate(circuit, values, stem_overrides={sig: same})
+    changed = propagate(circuit, values, {sig: same})
     assert set(changed) == {sig}
     assert np.array_equal(changed[sig], same)
 
@@ -242,8 +235,7 @@ def test_override_shapes_must_agree():
     a, b = circuit.inputs[:2]
     with pytest.raises(SimulationError):
         propagate(circuit, values,
-                  stem_overrides={a: np.stack([values[a]] * 2),
-                                  b: values[b]})
+                  {a: np.stack([values[a]] * 2), b: values[b]})
 
 
 # ---------------------------------------------------------------------------
@@ -259,33 +251,26 @@ def packed_sites(rng, values, slot_sites):
     """
     nwords = values.shape[1]
     slots = len(slot_sites)
-    stems, pins, forced = {}, {}, {}
+    stacks, forced = {}, {}
     for s, sites in enumerate(slot_sites):
         for site, row in sites.items():
-            target = pins if isinstance(site, tuple) else stems
-            if site not in target:
-                target[site] = np.stack([random_row(rng, nwords)
+            if site not in stacks:
+                stacks[site] = np.stack([random_row(rng, nwords)
                                          for _ in range(slots)])
-            target[site][s] = row
+            stacks[site][s] = row
             forced.setdefault(site, []).append(s)
-    return stems, pins, forced
+    return stacks, forced
 
 
 def assert_per_slot_sites(circuit, values, rng, slot_sites):
     """The packed multi-site sweep equals, slot by slot, a one-row
     propagate and the full re-simulation of that slot's sites."""
-    stems, pins, forced = packed_sites(rng, values, slot_sites)
-    packed = propagate(circuit, values, stem_overrides=stems,
-                       pin_overrides=pins, forced_slots=forced)
+    stacks, forced = packed_sites(rng, values, slot_sites)
+    packed = propagate(circuit, values, stacks, forced_slots=forced)
     singles = []
     for sites in slot_sites:
-        slot_stems = {k: v for k, v in sites.items()
-                      if not isinstance(k, tuple)}
-        slot_pins = {k: v for k, v in sites.items() if isinstance(k, tuple)}
-        single = propagate(circuit, values, stem_overrides=slot_stems,
-                           pin_overrides=slot_pins)
-        assert_same_changes(single, resim_oracle(circuit, values,
-                                                 slot_stems, slot_pins))
+        single = propagate(circuit, values, sites)
+        assert_same_changes(single, resim_oracle(circuit, values, sites))
         singles.append(single)
     assert_slots_match(circuit, values, packed, singles)
     return packed
@@ -409,7 +394,7 @@ def test_per_slot_override_equal_to_baseline(nbits):
         if idx != b:
             assert np.array_equal(rows[0], values[idx]), idx
     only_baseline = propagate(
-        circuit, values, stem_overrides={a: np.stack([values[a]] * 3)},
+        circuit, values, {a: np.stack([values[a]] * 3)},
         forced_slots={a: [1]})
     assert set(only_baseline) == {a}
 
@@ -421,8 +406,6 @@ def test_forced_slots_must_name_stacked_overrides():
     a, b = circuit.inputs[:2]
     stack = np.stack([values[a]] * 2)
     with pytest.raises(SimulationError):
-        propagate(circuit, values, stem_overrides={a: stack},
-                  forced_slots={b: [0]})
+        propagate(circuit, values, {a: stack}, forced_slots={b: [0]})
     with pytest.raises(SimulationError):
-        propagate(circuit, values, stem_overrides={a: stack},
-                  forced_slots={a: [2]})
+        propagate(circuit, values, {a: stack}, forced_slots={a: [2]})
