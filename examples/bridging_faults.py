@@ -7,7 +7,7 @@ that it can be adapted to other faults by adopting a suitable fault
 model in the correction stage" (§4.1).  This example adopts exactly
 such a model: wired-AND / wired-OR bridging faults between two nets,
 scored with the same bit-parallel machinery the engine uses for wire
-corrections, and verified by full-vector simulation.
+corrections, and verified by forced-site propagation over all of V.
 
 Run:  python examples/bridging_faults.py
 """

@@ -48,8 +48,7 @@ def error_partition(out: np.ndarray, ref_out: np.ndarray,
     Returns ``(diff, err_mask, num_err)``: per-output packed mismatch
     rows (tail-masked), the packed mask of vectors failing on any
     output, and its popcount.  One definition shared by
-    :class:`DiagnosisState`, the time-frame joint state and the SAT
-    diagnoser's constraint-vector split.
+    :class:`DiagnosisState` and the time-frame joint state.
     """
     diff = masked(out ^ ref_out, nbits)
     err_mask = np.bitwise_or.reduce(diff, axis=0)
@@ -168,6 +167,15 @@ class DiagnosisState:
             forced.setdefault(site, []).append(slot)
         return propagate(self.netlist, self.values, overrides,
                          forced_slots=forced)
+
+    def rectified_by(self, overrides: dict) -> bool:
+        """True when forcing ``overrides`` (one row per site, the map
+        :func:`~repro.sim.logicsim.propagate` takes) on this state makes
+        every vector of V pass: the one "does this candidate rectify V?"
+        check, so a candidate gets a netlist only once it passes."""
+        changed = propagate(self.netlist, self.values, overrides,
+                            base_ints=self._base_ints)
+        return not self._diff_after(changed, self.diff.copy()).any()
 
     def outcome_of_override(self, line_index,
                             new_words: np.ndarray

@@ -336,9 +336,9 @@ class _ExactSearch:
             # A leaf is only worth a netlist if it rectifies V, and
             # propagating the forced line through the parent says so.
             leaf_fails = (len(applied) + 1 == self.target
-                          and not state.outcome_of_override(
-                              corr.line, predicted_words(state, corr)
-                          )[0].fixes_all)
+                          and not state.rectified_by(
+                              {state.table[corr.line].site:
+                               predicted_words(state, corr)}))
             child_state = (None if leaf_fails
                            else fast_stuck_at_child(state, corr))
             self.stats.apply_time += clock.now() - t0

@@ -16,8 +16,8 @@ simulation-based engine:
   at N, and solutions are enumerated with blocking clauses.
 
 Encoding all of V would be wasteful, so a subset of failing + passing
-vectors constrains the CNF and every SAT answer is then *verified by
-simulation* against the full vector set — candidates that only fit the
+vectors constrains the CNF and every SAT answer is then verified by
+forced-site propagation over all of V — candidates that only fit the
 subset are dropped (and their blocking clause keeps enumeration going).
 
 Setup (device simulation, V partition, constraint-vector choice) runs
@@ -25,7 +25,7 @@ through the shared ``ingest``/``bitlists``/``rank-screen`` stages of
 :mod:`repro.diagnose.pipeline`; the enumeration is a
 :class:`SatSearchStrategy`, so ``result.stats.stages`` carries the same
 per-stage breakdown as the other modes.  Because each model is
-simulation-verified as soon as it is enumerated, the ``verify`` stage
+verified as soon as it is enumerated, the ``verify`` stage
 here is a summary record of that interleaved work.
 """
 
@@ -34,16 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..circuit.gatetypes import GateType
-from ..circuit.lines import LineTable
 from ..circuit.netlist import Netlist
-from ..faults.models import Correction, CorrectionKind, apply_correction
+from ..faults.models import apply_correction, stuck_at_correction
 from ..sat.cnf import CnfBuilder
 from ..sat.solver import SatSolver
-from ..sim.compare import equivalent
-from ..sim.logicsim import output_rows, simulate
-from ..sim.packing import PatternSet, WORD_BITS, bit_indices
+from ..sim.packing import PatternSet, WORD_BITS, bit_indices, const_row
 from . import clock
-from .bitlists import error_partition, reference_outputs
+from .bitlists import DiagnosisState, reference_outputs
 from .config import DiagnosisConfig
 from .pipeline import DiagnosisSession, SearchStrategy, TraceWriter
 from .report import (CorrectionRecord, EngineStats, Solution,
@@ -54,7 +51,7 @@ from .report import (CorrectionRecord, EngineStats, Solution,
 class SatDiagnosisResult:
     solutions: list = field(default_factory=list)
     sat_candidates: int = 0     # models returned by the solver
-    verified: int = 0           # candidates surviving full-V simulation
+    verified: int = 0           # candidates that rectify all of V
     total_time: float = 0.0
     truncated: bool = False
     #: pipeline stats (stage records, truncation) of the run; kept
@@ -129,33 +126,31 @@ class SatDiagnoser:
                                         trace=trace)
         with self.session.stage("ingest",
                                 items_in=patterns.nbits) as rec:
-            self.table = LineTable(good)
-            self.suspects = (list(suspects) if suspects is not None
-                             else [line.index for line in self.table])
             self.device_out = reference_outputs(device, patterns)
-            self.good_values = simulate(good, patterns)
-            self.good_out = output_rows(good, self.good_values)
+            # The good netlist against the device: its line table,
+            # values and partition of V.
+            self.state = DiagnosisState(good, patterns, self.device_out)
+            self.suspects = (list(suspects) if suspects is not None
+                             else [line.index for line in self.state.table])
             rec.items_out = len(self.suspects)
             rec.info = {"suspects": len(self.suspects),
                         "vectors": patterns.nbits}
         with self.session.stage("bitlists",
                                 items_in=patterns.nbits) as rec:
-            _diff, self._err_mask, self._num_err = error_partition(
-                self.device_out, self.good_out, patterns.nbits)
-            rec.items_out = self._num_err
-            rec.info = {"num_err": self._num_err}
+            rec.items_out = self.state.num_err
+            rec.info = {"num_err": self.state.num_err}
         with self.session.stage("rank-screen",
                                 items_in=patterns.nbits) as rec:
             self._constraint_vectors = self._pick_vectors(
                 max_constraint_vectors)
             rec.items_out = len(self._constraint_vectors)
             rec.info = {"failing_chosen": min(
-                self._num_err, max(1, max_constraint_vectors // 2))}
+                self.state.num_err, max(1, max_constraint_vectors // 2))}
         self.session.freeze_setup()
 
     # ------------------------------------------------------------------
     def _pick_vectors(self, cap: int) -> list[int]:
-        failing = bit_indices(self._err_mask, self.patterns.nbits)
+        failing = bit_indices(self.state.err_mask, self.patterns.nbits)
         passing = [v for v in range(self.patterns.nbits)
                    if v not in set(failing)]
         half = max(1, cap // 2)
@@ -170,12 +165,13 @@ class SatDiagnoser:
     def _encode(self) -> tuple[CnfBuilder, dict]:
         builder = CnfBuilder(SatSolver())
         netlist = self.good
+        table = self.state.table
         sel = {}
         site_sel = {}    # the same selector pairs, keyed by line site
         for line_index in self.suspects:
             pair = (builder.new_var(), builder.new_var())
             builder.add([-pair[0], -pair[1]])
-            sel[line_index] = site_sel[self.table[line_index].site] = pair
+            sel[line_index] = site_sel[table[line_index].site] = pair
 
         # The structure is the same for every vector: walk it once.
         live = netlist.live_set() | set(netlist.inputs)
@@ -208,21 +204,23 @@ class SatDiagnoser:
 
     # ------------------------------------------------------------------
     def _verify(self, picks: list) -> Solution | None:
-        """Simulate the candidate tuple against the full vector set."""
+        """Check the candidate tuple on the full vector set by forced-site
+        propagation; only a tuple that passes gets a netlist."""
+        table = self.state.table
+        nwords = self.state.values.shape[1]
+        if not self.state.rectified_by(
+                {table[line_index].site: const_row(value, nwords)
+                 for line_index, value in picks}):
+            return None
         candidate = self.good.copy()
         records = []
         for line_index, value in picks:
-            kind = (CorrectionKind.STUCK_AT_1 if value
-                    else CorrectionKind.STUCK_AT_0)
-            corr = Correction(line_index, kind)
-            site = self.table.describe(line_index)
+            site = table.describe(line_index)
             records.append(CorrectionRecord(f"sa{value}@{site}",
                                             f"sa{value}", site))
-            apply_correction(candidate, self.table, corr)
-        out = output_rows(candidate, simulate(candidate, self.patterns))
-        if equivalent(out, self.device_out, self.patterns.nbits):
-            return Solution(tuple(records), candidate)
-        return None
+            apply_correction(candidate, table,
+                             stuck_at_correction(table, line_index, value))
+        return Solution(tuple(records), candidate)
 
     def _enumerate(self, target: int, result: SatDiagnosisResult,
                    deadline: float | None) -> None:
@@ -271,13 +269,13 @@ class SatDiagnoser:
         stats = session.begin_run(
             time_budget=self.time_budget, mode="sat",
             vectors=self.patterns.nbits,
-            initial_failing=self._num_err)
+            initial_failing=self.state.num_err)
         result = SatSearchStrategy().search(session, self)
         result.stats = stats
         with session.stage("verify",
                            items_in=result.sat_candidates) as rec:
             rec.items_out = result.verified
-            rec.info = {"method": "full-V simulation",
+            rec.info = {"method": "forced-site propagation",
                         "interleaved": True}
         with session.stage("report",
                            items_in=len(result.solutions)) as rec:

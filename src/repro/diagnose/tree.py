@@ -151,17 +151,24 @@ class DecisionTree:
 
     # ------------------------------------------------------------------
     def apply(self, node: Node, sc: ScreenedCorrection,
-              round_no: int, rank_position: int) -> Node:
-        """Create the child node reached by applying one correction."""
+              round_no: int, rank_position: int) -> Node | None:
+        """Create the child node reached by applying one correction, or
+        None for a leaf its screen says fails V (counted, never built)."""
         t0 = clock.now()
         state = node.state
         signature = sc.correction.describe(state.netlist, state.table)
         site = state.table.describe(sc.correction.line)
         record = CorrectionRecord(signature, sc.correction.kind.value,
                                   site, rank_position, round_no)
+        applied = node.applied + (record,)
+        self.stats.nodes += 1
+        leaf = node.depth + 1 == self.target
+        if leaf and not sc.fixes_all:
+            self._seen_sets.add(frozenset(r.signature for r in applied))
+            return None
         child_netlist = state.netlist.copy()
         apply_correction(child_netlist, state.table, sc.correction)
-        if self.config.static_prescreen and node.depth + 1 < self.target:
+        if self.config.static_prescreen and not leaf:
             # Only children that may expand (and hence pre-screen) are
             # worth warming; frontier nodes never read their facts.
             warm_child_facts(state.netlist, child_netlist, self.stats)
@@ -170,9 +177,7 @@ class DecisionTree:
         if self.invariants:
             self.invariants.check_state(child_state)
         self.stats.apply_time += clock.now() - t0
-        self.stats.nodes += 1
-        return Node(child_state, node.depth + 1,
-                    node.applied + (record,))
+        return Node(child_state, node.depth + 1, applied)
 
     # ------------------------------------------------------------------
     def run(self, traversal: str = "rounds") -> list[Solution]:
@@ -227,7 +232,7 @@ class DecisionTree:
             sc = node.pending[rank_position]
             node.next_rank += 1
             child = self.apply(node, sc, 0, rank_position)
-            if self._register_child(child):
+            if child is not None and self._register_child(child):
                 return self.solutions
         return self.solutions
 
@@ -244,7 +249,7 @@ class DecisionTree:
                         return self.solutions
                     child = self.apply(node, sc, level + 1, rank_position)
                     self.open_nodes = next_frontier  # children collect here
-                    if self._register_child(child):
+                    if child is not None and self._register_child(child):
                         return self.solutions
             frontier = next_frontier
             if not frontier:
@@ -273,7 +278,7 @@ class DecisionTree:
                 if not node.open:
                     self._close(node)
                 child = self.apply(node, sc, round_no, rank_position)
-                if self._register_child(child):
+                if child is not None and self._register_child(child):
                     return self.solutions
         return self.solutions
 

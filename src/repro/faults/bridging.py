@@ -13,7 +13,8 @@ the correction stage."  This module does exactly that for two-net
 :func:`inject_bridging_fault` creates workloads;
 :func:`scored_bridge_partners` plugs the model into the correction
 stage via the bit-parallel pair scorer; :class:`BridgingDiagnoser` is a
-small exact-search front end mirroring the stuck-at protocol.
+small exact-search front end mirroring the stuck-at protocol, checking
+each candidate by forced-site propagation over all of V.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import numpy as np
 from ..circuit.gatetypes import GateType
 from ..circuit.netlist import Netlist
 from ..errors import InjectionError
-from ..sim.compare import equivalent
-from ..sim.logicsim import output_rows, simulate
 from ..sim.packing import PatternSet, row_popcounts
 from .inject import InjectionRecord, Workload
 
@@ -162,11 +161,12 @@ class BridgingResult:
 class BridgingDiagnoser:
     """Find single bridging faults explaining a faulty device.
 
-    Fault-modeling direction, like the stuck-at protocol: candidate
-    bridges are applied to the *good* netlist until it reproduces the
-    device's responses on all of V.  Anchors come from path trace
-    (the guarantee holds: a bridge changes at least one of the two nets,
-    whose lines path trace marks), partners from the pair scorer.
+    Fault-modeling direction, like the stuck-at protocol: a candidate
+    bridge forced on the *good* netlist's two nets is kept when
+    forced-site propagation over all of V reproduces the device's
+    responses.  Anchors come from path trace (the guarantee holds: a
+    bridge changes at least one of the two nets, whose lines path trace
+    marks), partners from the pair scorer.
     """
 
     def __init__(self, device: Netlist, good: Netlist,
@@ -180,8 +180,8 @@ class BridgingDiagnoser:
         from ..diagnose.bitlists import DiagnosisState, reference_outputs
 
         self.device_out = reference_outputs(device, patterns)
-        # The good netlist's values and its failing/passing partition
-        # against the device: the pair scorer's inputs and path trace's.
+        # The good netlist against the device: the input of path trace,
+        # the pair scorer and every candidate's forced-site check.
         self.state = DiagnosisState(good, patterns, self.device_out)
 
     def _anchors(self) -> list[int]:
@@ -220,16 +220,11 @@ class BridgingDiagnoser:
                         continue
                     seen_pairs.add(key)
                     result.candidates_scored += 1
-                    candidate = self.good.copy()
-                    try:
-                        apply_bridge(candidate, anchor, partner, kind)
-                    except InjectionError:
-                        continue
-                    out = output_rows(candidate,
-                                      simulate(candidate,
-                                               self.patterns))
-                    if equivalent(out, self.device_out,
-                                  self.patterns.nbits):
+                    # Both nets read the wired value; neither lies in
+                    # the other's fanout cone (the scorer's guarantee).
+                    va, vb = state.values[anchor], state.values[partner]
+                    wired = va & vb if kind is BridgeKind.AND else va | vb
+                    if state.rectified_by({anchor: wired, partner: wired}):
                         result.faults.append(BridgingFault(
                             self.good.gates[anchor].name,
                             self.good.gates[partner].name, kind))

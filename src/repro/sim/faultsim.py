@@ -50,6 +50,8 @@ class FaultSimulator:
         self.values = simulate(netlist, patterns)
         self.good_outputs = output_rows(netlist, self.values)
         self._tail = tail_mask(patterns.nbits)
+        # Big-int rows of ``values``, shared by every fault's propagate.
+        self._base_ints: dict[int, int] = {}
 
     def output_response(self, fault: SimFault) -> np.ndarray:
         """Per-output packed mismatch rows of ``fault`` (tail-masked):
@@ -57,7 +59,8 @@ class FaultSimulator:
         primary output *p*.  One propagate of the stuck line's cone."""
         line = self.table[fault.line]
         forced = const_row(fault.value, self.values.shape[1])
-        changed = propagate(self.netlist, self.values, {line.site: forced})
+        changed = propagate(self.netlist, self.values, {line.site: forced},
+                            base_ints=self._base_ints)
         rows = np.zeros_like(self.good_outputs)
         for pos, po in enumerate(self.netlist.outputs):
             row = changed.get(po)

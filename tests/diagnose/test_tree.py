@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.circuit.netlist import Netlist
 from repro.diagnose import (DecisionTree, DiagnosisConfig, DiagnosisState,
                             HLevel, Mode, round_visit_order)
 from repro.diagnose.report import EngineStats
 from repro.faults import inject_stuck_at_faults
+from repro.faults.inject import observable_design_error_workload
+from repro.faults.models import apply_correction
 from repro.sim import PatternSet, output_rows, simulate
 
 
@@ -81,3 +84,54 @@ def test_expand_records_phase_times(c17):
     assert tree.stats.corr_time >= 0.0
     assert tree.root.pending  # a single fault always yields candidates
 
+
+
+@pytest.mark.parametrize("traversal", ["rounds", "dfs", "bfs"])
+def test_dedc_builds_only_children_it_expands_or_reports(
+        c17, monkeypatch, traversal):
+    """Leaf rule: a leaf whose screen outcome fails V gets no netlist
+    copy; built the old way, every such leaf indeed fails V."""
+    patterns = PatternSet.random(5, 256, seed=1)
+    workload = observable_design_error_workload(c17, 2, patterns, seed=3)
+    state = DiagnosisState(workload.impl, patterns,
+                           output_rows(c17, simulate(c17, patterns)))
+    tree = DecisionTree(state, 2, HLevel(0.1, 0.3, 0.5),
+                        DiagnosisConfig(mode=Mode.DESIGN_ERROR))
+    copies = []
+    children = []
+    real_copy = Netlist.copy
+    real_apply = DecisionTree.apply
+
+    def counting_copy(self, *args):
+        copies.append(self)
+        return real_copy(self, *args)
+
+    def recording_apply(self, node, sc, *args):
+        before = len(copies)
+        child = real_apply(self, node, sc, *args)
+        children.append((node, sc, child, len(copies) - before))
+        return child
+
+    monkeypatch.setattr(Netlist, "copy", counting_copy)
+    monkeypatch.setattr(DecisionTree, "apply", recording_apply)
+    tree.run(traversal=traversal)
+    skipped = []
+    for node, sc, child, copied in children:
+        if child is None:
+            assert copied == 0 and node.depth + 1 == tree.target
+            skipped.append((node, sc))
+        else:
+            # Built: a node that may expand, or a leaf that is reported.
+            assert copied == 1
+            assert child.depth < tree.target or child.state.rectified
+    assert skipped
+    assert tree.stats.nodes == len(children)
+    monkeypatch.undo()
+    for node, sc in skipped:
+        parent = node.state
+        netlist = parent.netlist.copy()
+        apply_correction(netlist, parent.table, sc.correction)
+        assert not parent.child(netlist, sc.correction,
+                                sc.new_words).rectified
+        assert not DiagnosisState(netlist, patterns,
+                                  parent.spec_out).rectified

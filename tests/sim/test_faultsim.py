@@ -31,7 +31,9 @@ def test_detection_masks_match_brute_force(name):
     table = LineTable(circuit)
     patterns = PatternSet.random(circuit.num_inputs, 192, seed=9)
     fsim = FaultSimulator(circuit, patterns, table)
-    for fault in all_faults(table):
+    faults = all_faults(table)
+    answers = {}
+    for fault in faults:
         where = table.describe(fault.line)
         good, bad = brute_force_outputs(circuit, table, fault, patterns)
         got = fsim.detection_mask(fault)
@@ -42,6 +44,14 @@ def test_detection_masks_match_brute_force(name):
         assert rows.shape == want_rows.shape, where
         for pos in range(len(circuit.outputs)):
             assert np.array_equal(rows[pos], want_rows[pos]), (where, pos)
+        answers[fault] = (got, rows)
+    # Every fault again, in reverse order: the simulator's baseline
+    # cache is warm now, and a stale or mutated entry changes an answer.
+    for fault in reversed(faults):
+        got, rows = answers[fault]
+        where = table.describe(fault.line)
+        assert np.array_equal(fsim.detection_mask(fault), got), where
+        assert np.array_equal(fsim.output_response(fault), rows), where
 
 
 def test_all_faults_count(c17):
