@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..circuit.gatetypes import GateType, controlling_value
+from ..circuit.gatetypes import GateType, controlling_value, eval_ternary
 from ..circuit.netlist import Gate, Netlist
 
 __all__ = [
@@ -260,44 +260,9 @@ class TernaryConstants(DataflowDomain):
     def transfer(self, gate: Gate,
                  values: list) -> Optional[int]:
         gt = gate.gtype
-        if gt is GateType.CONST0:
-            return 0
-        if gt is GateType.CONST1:
-            return 1
         if gt in (GateType.INPUT, GateType.DFF):
             return self.assume.get(gate.index)
-        ins = [values[src] for src in gate.fanin]
-        if gt is GateType.BUF:
-            return ins[0]
-        if gt is GateType.NOT:
-            return None if ins[0] is None else 1 - ins[0]
-        if gt in (GateType.AND, GateType.NAND):
-            if any(v == 0 for v in ins):
-                core: Optional[int] = 0
-            elif all(v == 1 for v in ins):
-                core = 1
-            else:
-                core = None
-            if core is not None and gt is GateType.NAND:
-                core = 1 - core
-            return core
-        if gt in (GateType.OR, GateType.NOR):
-            if any(v == 1 for v in ins):
-                core = 1
-            elif all(v == 0 for v in ins):
-                core = 0
-            else:
-                core = None
-            if core is not None and gt is GateType.NOR:
-                core = 1 - core
-            return core
-        # XOR/XNOR: constant only when every input is known.
-        if any(v is None for v in ins):
-            return None
-        acc = 0
-        for v in ins:
-            acc ^= v
-        return acc if gt is GateType.XOR else 1 - acc
+        return eval_ternary(gt, [values[src] for src in gate.fanin])
 
 
 # ----------------------------------------------------------------------

@@ -42,9 +42,9 @@ import enum
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..circuit.gatetypes import GateType, MULTI_INPUT_TYPES
+from ..circuit.gatetypes import GateType, MULTI_INPUT_TYPES, eval_row
 from ..circuit.miter import build_miter
 from ..circuit.netlist import Netlist
 from ..errors import SimulationError
@@ -53,7 +53,7 @@ from ..sat.solver import SatSolver
 
 __all__ = [
     "ProofStatus", "Verdict", "ProvenConstant", "SweepStats",
-    "SweepResult", "Prover", "prove_equivalent", "eval_row",
+    "SweepResult", "Prover", "prove_equivalent",
     "DEFAULT_CONFLICT_BUDGET", "DEFAULT_VECTORS",
 ]
 
@@ -237,41 +237,6 @@ class _PhaseUnionFind:
 
 
 # ----------------------------------------------------------------------
-# big-int row evaluation (the signature substrate)
-# ----------------------------------------------------------------------
-def _eval_row(gtype: GateType, rows: Sequence[int], mask: int) -> int:
-    """Evaluate one gate over packed big-int rows (bit i = vector i)."""
-    if gtype is GateType.CONST0:
-        return 0
-    if gtype is GateType.CONST1:
-        return mask
-    if gtype is GateType.BUF:
-        return rows[0]
-    if gtype is GateType.NOT:
-        return rows[0] ^ mask
-    if gtype is GateType.AND or gtype is GateType.NAND:
-        acc = rows[0]
-        for row in rows[1:]:
-            acc &= row
-        return acc ^ mask if gtype is GateType.NAND else acc
-    if gtype is GateType.OR or gtype is GateType.NOR:
-        acc = rows[0]
-        for row in rows[1:]:
-            acc |= row
-        return acc ^ mask if gtype is GateType.NOR else acc
-    acc = rows[0]
-    for row in rows[1:]:
-        acc ^= row
-    return acc ^ mask if gtype is GateType.XNOR else acc
-
-
-#: Public alias of the packed-row gate evaluator — the sequential
-#: signature simulator (:mod:`repro.analyze.seq`) runs the same kernel
-#: frame by frame.
-eval_row = _eval_row
-
-
-# ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
 class Prover:
@@ -358,7 +323,7 @@ class Prover:
             if gate.gtype in _CUT_TYPES:
                 rows[idx] &= mask
                 continue
-            rows[idx] = _eval_row(
+            rows[idx] = eval_row(
                 gate.gtype, [rows[src] for src in gate.fanin], mask)
 
     def _harvest(self, model: dict) -> Tuple[int, ...]:
@@ -478,7 +443,7 @@ class Prover:
             raise SimulationError(
                 f"gate {gate.name!r} has no droppable pin {pin}")
         reduced = [src for p, src in enumerate(gate.fanin) if p != pin]
-        row = _eval_row(gate.gtype, [self._rows[s] for s in reduced],
+        row = eval_row(gate.gtype, [self._rows[s] for s in reduced],
                         self.mask)
         diff = (row ^ self._rows[gate_index]) & self.mask
         if diff:

@@ -24,7 +24,7 @@ gap with two cooperating engines:
   correspondence** in the style of ABC's ``scorr``.  Candidate
   equivalence classes are seeded from bit-parallel random simulation
   *from reset* (per-frame big-int rows via
-  :func:`repro.analyze.prove.eval_row`; a signature is the tuple of
+  :func:`repro.circuit.gatetypes.eval_row`; a signature is the tuple of
   per-frame rows, normalized up to complement).  Each candidate then
   faces two budgeted proof obligations over
   :func:`repro.circuit.unroll.unroll`-built models reusing the PR 4
@@ -65,13 +65,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..circuit.gatetypes import GateType, eval_ternary
+from ..circuit.gatetypes import GateType, eval_row, eval_ternary
 from ..circuit.netlist import Netlist
 from ..circuit.sequential import full_scan, normalize_initial_state
 from ..circuit.unroll import unroll
 from ..sat.cnf import CnfBuilder
 from ..sat.solver import SatSolver
-from .prove import ProofStatus, Prover, _PhaseUnionFind, eval_row
+from .prove import ProofStatus, Prover, _PhaseUnionFind
 
 __all__ = [
     "ResetFixpoint", "reset_fixpoint", "SeqTrace", "SeqVerdict",

@@ -10,13 +10,21 @@ Two notions from the paper live here:
 * *controlling value* — a line feeding an AND/NAND (OR/NOR) gate has
   controlling value when it carries 0 (1); a line driving NOT/BUF always
   has controlling value (Section 2).
-* gate evaluation — both scalar (ints 0/1) and bit-parallel (64 test
-  vectors packed per ``uint64`` word) evaluation kernels.
+* gate evaluation — every logic gate is an AND, OR or XOR core with an
+  optional output inversion (:data:`GATE_CORE`), and the ternary,
+  bit-parallel (64 test vectors packed per ``uint64`` word) and big-int
+  row evaluators all read that one table, as do the arity rule
+  (:func:`demoted`, :func:`promoted`), the simulation kernel and the
+  correction scorer.  :func:`eval_scalar` is written out by hand and
+  reads nothing: it is the independent oracle the tests hold every
+  derived evaluator to.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -57,10 +65,33 @@ MULTI_INPUT_TYPES = frozenset(
 #: Combinational logic gates (everything but sources and state).
 LOGIC_TYPES = frozenset(UNARY_TYPES - {GateType.DFF}) | MULTI_INPUT_TYPES
 
-#: Gate types whose output inverts the "core" function (NAND/NOR/XNOR/NOT).
-INVERTING_TYPES = frozenset(
-    {GateType.NOT, GateType.NAND, GateType.NOR, GateType.XNOR}
-)
+#: The one statement of combinational gate semantics: ``(core, invert)``
+#: per logic gate, the core being AND, OR or XOR over the fanins.  BUF
+#: and NOT are one-input ANDs.
+GATE_CORE = {
+    GateType.BUF: (GateType.AND, False),
+    GateType.NOT: (GateType.AND, True),
+    GateType.AND: (GateType.AND, False),
+    GateType.NAND: (GateType.AND, True),
+    GateType.OR: (GateType.OR, False),
+    GateType.NOR: (GateType.OR, True),
+    GateType.XOR: (GateType.XOR, False),
+    GateType.XNOR: (GateType.XOR, True),
+}
+
+#: Gate types whose output inverts the core function (NAND/NOR/XNOR/NOT).
+INVERTING_TYPES = frozenset(g for g, (_core, inv) in GATE_CORE.items()
+                            if inv)
+
+#: Bitwise numpy ufunc per core.
+CORE_UFUNC = {GateType.AND: np.bitwise_and, GateType.OR: np.bitwise_or,
+              GateType.XOR: np.bitwise_xor}
+
+#: Bitwise big-int operator per core.
+_CORE_INT_OP = {GateType.AND: operator.and_, GateType.OR: operator.or_,
+                GateType.XOR: operator.xor}
+
+_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: Map each multi-input gate to its output-inverted counterpart.
 INVERTED_COUNTERPART = {
@@ -117,9 +148,10 @@ def has_controlling_value(gtype: GateType) -> bool:
 def eval_scalar(gtype: GateType, inputs: Sequence[int]) -> int:
     """Evaluate one gate on scalar 0/1 inputs; reference semantics.
 
-    This is the slow, obviously-correct oracle used by the test suite to
-    validate the bit-parallel kernels, and by small utilities where speed
-    is irrelevant.
+    This is the slow, obviously-correct oracle the test suite checks
+    every derived evaluator against.  It is written out gate by gate on
+    purpose and does not read :data:`GATE_CORE`, so a slip in the table
+    cannot hide in both.
     """
     if gtype is GateType.CONST0:
         return 0
@@ -150,6 +182,22 @@ def eval_scalar(gtype: GateType, inputs: Sequence[int]) -> int:
     raise ValueError(f"cannot evaluate gate type {gtype}")
 
 
+def demoted(gtype: GateType) -> GateType:
+    """The type a multi-input gate takes when it drops to one fanin:
+    BUF for AND/OR/XOR, NOT for NAND/NOR/XNOR.  Other types keep theirs."""
+    if gtype not in MULTI_INPUT_TYPES:
+        return gtype
+    return GateType.NOT if gtype in INVERTING_TYPES else GateType.BUF
+
+
+def promoted(gtype: GateType) -> GateType:
+    """The type a BUF (NOT) takes when it gains a fanin: AND (NAND).
+    Other types keep theirs."""
+    if gtype not in (GateType.BUF, GateType.NOT):
+        return gtype
+    return GateType.NAND if gtype in INVERTING_TYPES else GateType.AND
+
+
 def eval_ternary(gtype: GateType,
                  inputs: Sequence["int | None"]) -> "int | None":
     """Kleene three-valued gate evaluation (``None`` is X/unknown).
@@ -163,38 +211,22 @@ def eval_ternary(gtype: GateType,
         return 0
     if gtype is GateType.CONST1:
         return 1
-    if gtype in (GateType.BUF, GateType.DFF, GateType.INPUT):
+    if gtype is GateType.INPUT or gtype is GateType.DFF:
         return inputs[0]
-    if gtype is GateType.NOT:
-        return None if inputs[0] is None else 1 - inputs[0]
-    if gtype in (GateType.AND, GateType.NAND):
-        if any(v == 0 for v in inputs):
-            core: "int | None" = 0
-        elif all(v == 1 for v in inputs):
-            core = 1
-        else:
-            core = None
-        if core is not None and gtype is GateType.NAND:
-            core = 1 - core
-        return core
-    if gtype in (GateType.OR, GateType.NOR):
-        if any(v == 1 for v in inputs):
-            core = 1
-        elif all(v == 0 for v in inputs):
-            core = 0
-        else:
-            core = None
-        if core is not None and gtype is GateType.NOR:
-            core = 1 - core
-        return core
-    if gtype in (GateType.XOR, GateType.XNOR):
-        if any(v is None for v in inputs):
+    core, invert = GATE_CORE[gtype]
+    if core is GateType.XOR:
+        if None in inputs:
             return None
-        acc = 0
-        for v in inputs:
-            acc ^= v
-        return acc if gtype is GateType.XOR else 1 - acc
-    raise ValueError(f"cannot evaluate gate type {gtype}")
+        value = sum(inputs) & 1
+    else:
+        ctrl = 0 if core is GateType.AND else 1
+        if ctrl in inputs:
+            value = ctrl
+        elif None in inputs:
+            return None
+        else:
+            value = 1 - ctrl
+    return value ^ invert
 
 
 def eval_words(gtype: GateType, inputs: Sequence[np.ndarray]) -> np.ndarray:
@@ -206,37 +238,33 @@ def eval_words(gtype: GateType, inputs: Sequence[np.ndarray]) -> np.ndarray:
     word including any tail padding; counting utilities mask the tail
     (see :mod:`repro.sim.packing`).
     """
-    ones = np.uint64(0xFFFFFFFFFFFFFFFF)
+    if gtype is GateType.CONST0 or gtype is GateType.CONST1:
+        raise ValueError(f"{gtype.name} takes no inputs; materialize "
+                         f"from shape")
+    acc = inputs[0].copy()
+    if gtype is GateType.INPUT or gtype is GateType.DFF:
+        return acc
+    core, invert = GATE_CORE[gtype]
+    ufunc = CORE_UFUNC[core]
+    for word in inputs[1:]:
+        ufunc(acc, word, out=acc)
+    if invert:
+        acc ^= _ONES
+    return acc
+
+
+def eval_row(gtype: GateType, rows: Sequence[int], mask: int) -> int:
+    """Evaluate one gate over packed big-int rows (bit *i* = vector *i*);
+    ``mask`` holds a one for every vector."""
     if gtype is GateType.CONST0:
-        raise ValueError("CONST0 takes no inputs; materialize from shape")
+        return 0
     if gtype is GateType.CONST1:
-        raise ValueError("CONST1 takes no inputs; materialize from shape")
-    if gtype in (GateType.BUF, GateType.DFF, GateType.INPUT):
-        return inputs[0].copy()
-    if gtype is GateType.NOT:
-        return inputs[0] ^ ones
-    if gtype is GateType.AND or gtype is GateType.NAND:
-        acc = inputs[0].copy()
-        for word in inputs[1:]:
-            acc &= word
-        if gtype is GateType.NAND:
-            acc ^= ones
-        return acc
-    if gtype is GateType.OR or gtype is GateType.NOR:
-        acc = inputs[0].copy()
-        for word in inputs[1:]:
-            acc |= word
-        if gtype is GateType.NOR:
-            acc ^= ones
-        return acc
-    if gtype is GateType.XOR or gtype is GateType.XNOR:
-        acc = inputs[0].copy()
-        for word in inputs[1:]:
-            acc ^= word
-        if gtype is GateType.XNOR:
-            acc ^= ones
-        return acc
-    raise ValueError(f"cannot evaluate gate type {gtype}")
+        return mask
+    if gtype is GateType.INPUT or gtype is GateType.DFF:
+        return rows[0]
+    core, invert = GATE_CORE[gtype]
+    acc = functools.reduce(_CORE_INT_OP[core], rows)
+    return acc ^ mask if invert else acc
 
 
 def arity_ok(gtype: GateType, n_fanin: int) -> bool:

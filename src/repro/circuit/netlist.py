@@ -30,7 +30,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from ..errors import NetlistError
 from .delta import JOURNAL_CAP, NetlistDelta, NetlistEdit
-from .gatetypes import GateType, SOURCE_TYPES, arity_ok
+from .gatetypes import (GateType, SOURCE_TYPES, arity_ok, demoted,
+                        promoted)
 
 
 @dataclass
@@ -661,18 +662,8 @@ class Netlist:
         del gate.fanin[pin]
         self._record(NetlistEdit("pin_removed", gate=index, pin=pin,
                                  old=old_src))
-        if len(gate.fanin) == 1 and gate.gtype in (
-                GateType.AND, GateType.OR, GateType.XOR):
-            old_type = gate.gtype
-            gate.gtype = GateType.BUF
-            self._record(NetlistEdit("type_changed", gate=index,
-                                     old=old_type, new=GateType.BUF))
-        elif len(gate.fanin) == 1 and gate.gtype in (
-                GateType.NAND, GateType.NOR, GateType.XNOR):
-            old_type = gate.gtype
-            gate.gtype = GateType.NOT
-            self._record(NetlistEdit("type_changed", gate=index,
-                                     old=old_type, new=GateType.NOT))
+        if len(gate.fanin) == 1:
+            self.set_gate_type(index, demoted(gate.gtype))
 
     def add_fanin_pin(self, index: int, new_src: int) -> None:
         """Append a fanin (the "missing input wire" error/correction)."""
@@ -682,14 +673,8 @@ class Netlist:
                 f"gate {gate.name!r}: {gate.gtype.name} takes no fanin")
         if gate.gtype is GateType.DFF:
             raise NetlistError("cannot add fanin to a DFF")
-        if gate.gtype is GateType.BUF:
-            gate.gtype = GateType.AND  # promote; caller picks real type
-            self._record(NetlistEdit("type_changed", gate=index,
-                                     old=GateType.BUF, new=GateType.AND))
-        elif gate.gtype is GateType.NOT:
-            gate.gtype = GateType.NAND
-            self._record(NetlistEdit("type_changed", gate=index,
-                                     old=GateType.NOT, new=GateType.NAND))
+        # A BUF/NOT becomes AND/NAND; the caller may pick the real type.
+        self.set_gate_type(index, promoted(gate.gtype))
         gate.fanin.append(new_src)
         self._record(NetlistEdit("pin_added", gate=index, new=new_src))
 

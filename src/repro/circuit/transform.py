@@ -19,8 +19,8 @@ test suite checks this by exhaustive/bit-parallel simulation.
 
 from __future__ import annotations
 
-from .gatetypes import (GateType, INVERTED_COUNTERPART,
-                        MULTI_INPUT_TYPES)
+from .gatetypes import (GateType, INVERTED_COUNTERPART, LOGIC_TYPES,
+                        MULTI_INPUT_TYPES, demoted, eval_ternary)
 from .netlist import Netlist
 
 
@@ -72,34 +72,11 @@ def _propagate_constants(nl: Netlist) -> bool:
         if gate.gtype is GateType.CONST1:
             const_val[idx] = 1
             continue
-        if gate.gtype in (GateType.INPUT, GateType.DFF):
+        if gate.gtype not in LOGIC_TYPES:
             continue
         in_consts = [const_val.get(src) for src in gate.fanin]
-        if gate.gtype in (GateType.BUF, GateType.NOT):
-            if in_consts[0] is not None:
-                value = in_consts[0] if gate.gtype is GateType.BUF \
-                    else 1 - in_consts[0]
-                gate.gtype = GateType.CONST1 if value else GateType.CONST0
-                gate.fanin = []
-                const_val[idx] = value
-                changed = True
-            continue
-        if gate.gtype not in MULTI_INPUT_TYPES:
-            continue
-        ctrl = {GateType.AND: 0, GateType.NAND: 0,
-                GateType.OR: 1, GateType.NOR: 1}.get(gate.gtype)
-        inverting = gate.gtype in (GateType.NAND, GateType.NOR,
-                                   GateType.XNOR)
-        if ctrl is not None and ctrl in in_consts:
-            value = (1 - ctrl) if inverting else ctrl
-            gate.gtype = GateType.CONST1 if value else GateType.CONST0
-            gate.fanin = []
-            const_val[idx] = value
-            changed = True
-            continue
-        if all(c is not None for c in in_consts):
-            from .gatetypes import eval_scalar
-            value = eval_scalar(gate.gtype, in_consts)
+        value = eval_ternary(gate.gtype, in_consts)
+        if value is not None:
             gate.gtype = GateType.CONST1 if value else GateType.CONST0
             gate.fanin = []
             const_val[idx] = value
@@ -115,14 +92,8 @@ def _propagate_constants(nl: Netlist) -> bool:
                 if flips % 2:
                     gate.gtype = INVERTED_COUNTERPART[gate.gtype]
             if len(keep) == 1:
-                single = keep[0]
-                if gate.gtype in (GateType.AND, GateType.OR, GateType.XOR):
-                    gate.gtype = GateType.BUF
-                else:
-                    gate.gtype = GateType.NOT
-                gate.fanin = [single]
-            else:
-                gate.fanin = keep
+                gate.gtype = demoted(gate.gtype)
+            gate.fanin = keep
             changed = True
     if changed:
         nl._dirty()

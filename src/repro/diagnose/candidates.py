@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..circuit.gatetypes import (GateType, REPLACEMENT_CLASSES,
-                                 SOURCE_TYPES, eval_words)
+from ..circuit.gatetypes import (CORE_UFUNC, GATE_CORE, GateType,
+                                 REPLACEMENT_CLASSES, SOURCE_TYPES,
+                                 eval_words)
 from ..faults.models import (Correction, CorrectionKind,
                              corrected_line_words)
 from ..sim.packing import const_row, row_popcounts
@@ -74,24 +75,6 @@ def _legal_sources_mask(state: DiagnosisState, driver: int) -> np.ndarray:
     return mask
 
 
-_CORE_OF = {
-    GateType.BUF: (GateType.AND, False),
-    GateType.NOT: (GateType.AND, True),
-    GateType.AND: (GateType.AND, False),
-    GateType.NAND: (GateType.AND, True),
-    GateType.OR: (GateType.OR, False),
-    GateType.NOR: (GateType.OR, True),
-    GateType.XOR: (GateType.XOR, False),
-    GateType.XNOR: (GateType.XOR, True),
-}
-
-
-#: Bitwise core op per gate core: a candidate gate's output is
-#: ``core(base, source)``, inverted for NAND/NOR/XNOR/NOT.
-_CORE_UFUNC = {GateType.AND: np.bitwise_and, GateType.OR: np.bitwise_or,
-               GateType.XOR: np.bitwise_xor}
-
-
 def _rewired_core(state: DiagnosisState, driver: int,
                   skip_pin: int | None, gtype: GateType) -> tuple:
     """``(core, invert, base)`` of gate ``driver`` read as ``gtype``,
@@ -100,7 +83,7 @@ def _rewired_core(state: DiagnosisState, driver: int,
     ``base`` is the core function over the retained fanins, so a new
     source ``src`` makes the gate compute ``core(base, src)``.
     """
-    core, invert = _CORE_OF[gtype]
+    core, invert = GATE_CORE[gtype]
     retained = [src for pin, src in enumerate(state.netlist.gates[driver]
                                               .fanin) if pin != skip_pin]
     if retained:
@@ -134,7 +117,7 @@ def scored_sources(state: DiagnosisState, driver: int,
     m = len(sweeps)
     new = np.empty((m,) + values.shape, dtype=values.dtype)
     for j, (core, invert, base, _limit) in enumerate(sweeps):
-        _CORE_UFUNC[core](values, base, out=new[j])
+        CORE_UFUNC[core](values, base, out=new[j])
         if invert:
             new[j] ^= _ONES
     delta = (new ^ values[driver]).reshape(-1, values.shape[1])
@@ -230,7 +213,7 @@ def design_error_corrections(state: DiagnosisState, line_index: int,
     # its consumers, scored like an add-wire whose "retained fanin" is
     # the line itself.
     for promo in (GateType.AND, GateType.OR, GateType.XOR):
-        core, invert = _CORE_OF[promo]
+        core, invert = GATE_CORE[promo]
         sweeps.append((core, invert, state.values[line.driver],
                        max(2, limit // 2)))
         fields.append({"kind": CorrectionKind.INSERT_GATE,

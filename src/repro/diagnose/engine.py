@@ -217,8 +217,11 @@ def screen_and_rank(state: DiagnosisState, lines: list,
                     invariants=None) -> list:
     """Theorem 1 screen + outcome-guided ordering (rank-screen stage).
 
-    Returns ordered ``(complemented, correction)`` pairs; every sort is
-    stable, so the order is deterministic.
+    Returns ordered ``(complemented, correction, fixes_all)`` triples;
+    every sort is stable, so the order is deterministic.  ``fixes_all``
+    is the head ordering's measured verdict — does the correction alone
+    rectify V? — and ``None`` for a tail entry, whose outcome was never
+    measured.
     """
     if invariants:
         invariants.check_theorem1(state.num_err, remaining)
@@ -254,10 +257,12 @@ def screen_and_rank(state: DiagnosisState, lines: list,
             corr.line, predicted_words(state, corr))
         err_after = state.num_err - outcome.rectified_vectors \
             + outcome.broken_vectors
-        scored_head.append((err_after, -complemented, corr))
+        scored_head.append((err_after, -complemented, corr,
+                            outcome.fixes_all))
     scored_head.sort(key=lambda t: t[:2])
-    ordered = ([(-c, corr) for (_e, c, corr) in scored_head]
-               + screened[head_n:])
+    ordered = ([(-c, corr, fixes_all)
+                for (_e, c, corr, fixes_all) in scored_head]
+               + [(c, corr, None) for c, corr in screened[head_n:]])
     stats.corr_time += clock.now() - t1
     return ordered
 
@@ -266,8 +271,8 @@ def exact_candidates(state: DiagnosisState, applied_keys: frozenset,
                      remaining: int, config: DiagnosisConfig,
                      stats: EngineStats,
                      invariants=None) -> list:
-    """Ordered ``(complemented, correction)`` candidates at one
-    exact-mode node: path trace, static pre-screen, Theorem 1 screen,
+    """Ordered ``(complemented, correction, fixes_all)`` candidates at
+    one exact-mode node: path trace, static pre-screen, Theorem 1 screen,
     outcome-guided head ordering.
 
     Composes the three stage functions above.  Deterministic given
@@ -321,7 +326,7 @@ class _ExactSearch:
                                        self.target - len(applied),
                                        self.config, self.stats,
                                        self.invariants)
-        for _complemented, corr in ordered:
+        for _complemented, corr, fixes_all in ordered:
             signature = corr.describe(state.netlist, state.table)
             if signature in applied_keys:
                 continue
@@ -333,13 +338,15 @@ class _ExactSearch:
             self.budget -= 1
             self.stats.nodes += 1
             t0 = clock.now()
-            # A leaf is only worth a netlist if it rectifies V, and
+            # A leaf is only worth a netlist if it rectifies V.  The
+            # head ordering measured that already; for a tail entry,
             # propagating the forced line through the parent says so.
-            leaf_fails = (len(applied) + 1 == self.target
-                          and not state.rectified_by(
-                              {state.table[corr.line].site:
-                               predicted_words(state, corr)}))
-            child_state = (None if leaf_fails
+            leaf = len(applied) + 1 == self.target
+            if leaf and fixes_all is None:
+                fixes_all = state.rectified_by(
+                    {state.table[corr.line].site:
+                     predicted_words(state, corr)})
+            child_state = (None if leaf and not fixes_all
                            else fast_stuck_at_child(state, corr))
             self.stats.apply_time += clock.now() - t0
             if child_state is None:
@@ -384,12 +391,12 @@ def execute_shard(context, task) -> ShardResult:
     stats = EngineStats()
     t0 = clock.now()
     if kind == "exact":
-        _kind, _index, target, corr, wall_deadline = task
+        _kind, _index, target, corr, fixes_all, wall_deadline = task
         search = _ExactSearch(context.config, target, stats,
                               clock.wall_to_perf(wall_deadline))
         try:
             search.explore(context.root_state, (), frozenset(),
-                           ordered=((0, corr),))
+                           ordered=((0, corr, fixes_all),))
         except _SearchTruncated:
             pass
         stats.total_time = clock.now() - t0

@@ -338,8 +338,9 @@ class ExactStuckAtStrategy(SearchStrategy):
         with session.stage("search", target=target,
                            items_in=len(ordered)) as rec:
             wall_deadline = session.wall_deadline()
-            tasks = [("exact", i, target, corr, wall_deadline)
-                     for i, (_complemented, corr) in enumerate(ordered)]
+            tasks = [("exact", i, target, corr, fixes_all, wall_deadline)
+                     for i, (_complemented, corr, fixes_all)
+                     in enumerate(ordered)]
             results = parallel.run_shards(
                 tasks, config.jobs, payload=diagnoser._worker_payload(),
                 context=diagnoser._local_context(),

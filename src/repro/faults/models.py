@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..circuit.gatetypes import GateType, eval_words
+from ..circuit.gatetypes import GateType, demoted, eval_words, promoted
 from ..circuit.lines import LineTable
 from ..circuit.netlist import Netlist
 from ..errors import InjectionError
@@ -216,20 +216,11 @@ def corrected_line_words(netlist: Netlist, table: LineTable,
     if kind is CorrectionKind.REMOVE_INPUT_WIRE:
         remaining = [values[src] for p, src in enumerate(driver.fanin)
                      if p != corr.pin]
-        gtype = driver.gtype
-        if len(remaining) == 1:
-            gtype = {GateType.AND: GateType.BUF, GateType.OR: GateType.BUF,
-                     GateType.XOR: GateType.BUF,
-                     GateType.NAND: GateType.NOT,
-                     GateType.NOR: GateType.NOT,
-                     GateType.XNOR: GateType.NOT}.get(gtype, gtype)
+        gtype = (demoted(driver.gtype) if len(remaining) == 1
+                 else driver.gtype)
         return eval_words(gtype, remaining)
     if kind is CorrectionKind.ADD_INPUT_WIRE:
-        gtype = corr.new_type or driver.gtype
-        if gtype is GateType.BUF:
-            gtype = GateType.AND
-        elif gtype is GateType.NOT:
-            gtype = GateType.NAND
+        gtype = promoted(corr.new_type or driver.gtype)
         ins = [values[src] for src in driver.fanin]
         ins.append(values[corr.other_signal])
         return eval_words(gtype, ins)

@@ -35,6 +35,12 @@ actually touches are converted, lazily, and changed rows are converted
 back to ``uint64`` arrays at the end.  The property tests check it
 against a full topological scan kept under ``tests/sim``.
 
+Both kernels take gate semantics from the one table,
+:data:`~repro.circuit.gatetypes.GATE_CORE`: :func:`simulate` calls
+:func:`~repro.circuit.gatetypes.eval_words`, and the event kernel's
+per-gate ``(core op, invert)`` pairs are derived from the table, while
+its AND/OR/XOR reduction stays inlined because it is the hot loop.
+
 Overrides are keyed by a line's *site*
 (:attr:`repro.circuit.lines.Line.site`), in one map: an int key (a
 stem) replaces a signal for every consumer, a ``(sink, pin)`` key (a
@@ -49,7 +55,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..circuit.gatetypes import GateType, eval_words
+from ..circuit.gatetypes import GATE_CORE, GateType, eval_words
 from ..circuit.netlist import Netlist
 from ..errors import SimulationError
 from .packing import PatternSet
@@ -59,15 +65,12 @@ from .packing import PatternSet
 _PASSIVE_TYPES = (GateType.INPUT, GateType.DFF,
                   GateType.CONST0, GateType.CONST1)
 
-#: (core-op index, invert) per evaluable gate type: 0 = AND, 1 = OR,
-#: 2 = XOR over the fanin ints.  BUF/NOT reduce over a single fanin, so
-#: any core works — AND is used.
-_INT_OP = {
-    GateType.BUF: (0, False), GateType.NOT: (0, True),
-    GateType.AND: (0, False), GateType.NAND: (0, True),
-    GateType.OR: (1, False), GateType.NOR: (1, True),
-    GateType.XOR: (2, False), GateType.XNOR: (2, True),
-}
+#: (core-op index, invert) per evaluable gate type, read from
+#: :data:`~repro.circuit.gatetypes.GATE_CORE`: 0 = AND, 1 = OR, 2 = XOR
+#: over the fanin ints.
+_CORE_INDEX = {GateType.AND: 0, GateType.OR: 1, GateType.XOR: 2}
+_INT_OP = {gtype: (_CORE_INDEX[core], invert)
+           for gtype, (core, invert) in GATE_CORE.items()}
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 

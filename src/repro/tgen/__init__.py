@@ -2,7 +2,7 @@
 
 from .randgen import (coverage_driven_patterns, patterns_from_vectors,
                       random_patterns)
-from .podem import Podem, PodemStats, eval3, fill_assignment
+from .podem import Podem, PodemStats, fill_assignment
 from .compaction import reverse_order_compact
 from .flows import (TgenStats, diagnosis_vectors, deterministic_patterns,
                     deterministic_patterns_with_stats)
@@ -14,7 +14,7 @@ from .distinguish import (distinguishing_vector,
 
 __all__ = [
     "coverage_driven_patterns", "patterns_from_vectors", "random_patterns",
-    "Podem", "PodemStats", "eval3", "fill_assignment",
+    "Podem", "PodemStats", "fill_assignment",
     "reverse_order_compact",
     "TgenStats", "diagnosis_vectors", "deterministic_patterns",
     "deterministic_patterns_with_stats",

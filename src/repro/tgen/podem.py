@@ -9,76 +9,23 @@ target fault at a time, plus reverse-order compaction
 
 The implementation is scalar (one vector at a time) and intentionally
 simple; it only needs to top up the random set with hard-fault vectors.
+A D-calculus value is a pair of Kleene ternary values, good and faulty
+(``None`` is X), both computed by
+:func:`~repro.circuit.gatetypes.eval_ternary`.  Implication after a
+decision or a backtrack re-evaluates only the fanout cones of the
+primary inputs whose value changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..circuit.gatetypes import GateType, controlling_value
+from ..circuit.gatetypes import (GATE_CORE, INVERTING_TYPES, GateType,
+                                 controlling_value, eval_ternary)
 from ..circuit.lines import LineTable
 from ..circuit.netlist import Netlist
 from ..errors import SimulationError
 from ..sim.faultsim import SimFault
-
-X = 2  # unknown in the 3-valued good/faulty component lattice
-
-_AND_T = {(0, 0): 0, (0, 1): 0, (0, X): 0, (1, 0): 0, (X, 0): 0,
-          (1, 1): 1, (1, X): X, (X, 1): X, (X, X): X}
-_OR_T = {(1, 1): 1, (1, 0): 1, (1, X): 1, (0, 1): 1, (X, 1): 1,
-         (0, 0): 0, (0, X): X, (X, 0): X, (X, X): X}
-
-
-def _not3(v: int) -> int:
-    return X if v == X else 1 - v
-
-
-def _and3(vals) -> int:
-    acc = 1
-    for v in vals:
-        acc = _AND_T[(acc, v)]
-    return acc
-
-
-def _or3(vals) -> int:
-    acc = 0
-    for v in vals:
-        acc = _OR_T[(acc, v)]
-    return acc
-
-
-def _xor3(vals) -> int:
-    acc = 0
-    for v in vals:
-        if v == X:
-            return X
-        acc ^= v
-    return acc
-
-
-def eval3(gtype: GateType, vals) -> int:
-    """3-valued gate evaluation (0/1/X)."""
-    if gtype is GateType.CONST0:
-        return 0
-    if gtype is GateType.CONST1:
-        return 1
-    if gtype in (GateType.BUF, GateType.INPUT, GateType.DFF):
-        return vals[0]
-    if gtype is GateType.NOT:
-        return _not3(vals[0])
-    if gtype is GateType.AND:
-        return _and3(vals)
-    if gtype is GateType.NAND:
-        return _not3(_and3(vals))
-    if gtype is GateType.OR:
-        return _or3(vals)
-    if gtype is GateType.NOR:
-        return _not3(_or3(vals))
-    if gtype is GateType.XOR:
-        return _xor3(vals)
-    if gtype is GateType.XNOR:
-        return _not3(_xor3(vals))
-    raise SimulationError(f"cannot 3-value evaluate {gtype}")
 
 
 @dataclass
@@ -159,7 +106,10 @@ class Podem:
         pi_values: dict[int, int] = {}
         decisions: list[tuple[int, int, bool]] = []  # (pi, value, flipped)
 
-        good, faulty = self._imply(pi_values, fault)
+        n = len(self.netlist.gates)
+        good: list = [None] * n
+        faulty: list = [None] * n
+        self._imply(pi_values, fault, good, faulty, self._order)
         stats.implications += 1
         while True:
             if self._detected(good, faulty):
@@ -171,14 +121,17 @@ class Podem:
                 if pi is not None:
                     decisions.append((pi, value, False))
                     pi_values[pi] = value
-                    good, faulty = self._imply(pi_values, fault)
+                    self._imply(pi_values, fault, good, faulty,
+                                self.netlist.sorted_cone(pi))
                     stats.implications += 1
                     continue
             # No objective achievable -> backtrack.
             backtracked = False
+            changed = set()
             while decisions:
                 pi, value, flipped = decisions.pop()
                 del pi_values[pi]
+                changed.add(pi)
                 stats.backtracks += 1
                 if stats.backtracks > self.backtrack_limit:
                     stats.aborted = True
@@ -186,7 +139,8 @@ class Podem:
                 if not flipped:
                     decisions.append((pi, 1 - value, True))
                     pi_values[pi] = 1 - value
-                    good, faulty = self._imply(pi_values, fault)
+                    self._imply(pi_values, fault, good, faulty,
+                                self._cones(changed))
                     stats.implications += 1
                     backtracked = True
                     break
@@ -194,44 +148,50 @@ class Podem:
                 return None, stats  # search space exhausted: untestable
 
     # ------------------------------------------------------------------
-    def _imply(self, pi_values: dict, fault: SimFault
-               ) -> tuple[list, list]:
-        """3-valued good/faulty simulation under partial PI assignment."""
+    def _cones(self, pis: set) -> tuple:
+        """The union of the fanout cones of ``pis``, topologically
+        sorted."""
+        cone = set()
+        for pi in pis:
+            cone.update(self.netlist.sorted_cone(pi))
+        return tuple(sorted(cone, key=self.netlist.topo_positions()
+                            .__getitem__))
+
+    def _imply(self, pi_values: dict, fault: SimFault, good: list,
+               faulty: list, order) -> None:
+        """3-valued good/faulty simulation of the gates in ``order`` (a
+        topologically sorted set closed under fanout: the whole netlist,
+        or the cones of the PIs whose value changed) under a partial PI
+        assignment, updating ``good`` and ``faulty`` in place."""
         line = self.table[fault.line]
-        n = len(self.netlist.gates)
-        good = [X] * n
-        faulty = [X] * n
+        stem = line.driver if line.is_stem else None
+        sink = None if line.is_stem else line.sink
         gates = self.netlist.gates
-        for idx in self._order:
+        for idx in order:
             gate = gates[idx]
             if gate.gtype is GateType.INPUT:
-                good[idx] = faulty[idx] = pi_values.get(idx, X)
-            elif gate.gtype is GateType.CONST0:
-                good[idx] = faulty[idx] = 0
-            elif gate.gtype is GateType.CONST1:
-                good[idx] = faulty[idx] = 1
+                good[idx] = faulty[idx] = pi_values.get(idx)
             else:
-                gvals = [good[src] for src in gate.fanin]
+                good[idx] = eval_ternary(gate.gtype,
+                                         [good[src] for src in gate.fanin])
                 fvals = [faulty[src] for src in gate.fanin]
-                if not line.is_stem and idx == line.sink:
-                    fvals = list(fvals)
+                if idx == sink:
                     fvals[line.pin] = fault.value
-                good[idx] = eval3(gate.gtype, gvals)
-                faulty[idx] = eval3(gate.gtype, fvals)
-            if line.is_stem and idx == line.driver:
+                faulty[idx] = eval_ternary(gate.gtype, fvals)
+            if idx == stem:
                 faulty[idx] = fault.value
-        return good, faulty
 
     def _detected(self, good, faulty) -> bool:
         for po in self.netlist.outputs:
-            if good[po] != X and faulty[po] != X and good[po] != faulty[po]:
+            if (good[po] is not None and faulty[po] is not None
+                    and good[po] != faulty[po]):
                 return True
         return False
 
     def _excited(self, good, faulty, fault: SimFault, line) -> int:
         """-1 impossible, 0 not yet (X), 1 excited."""
         sig = good[line.driver]
-        if sig == X:
+        if sig is None:
             return 0
         return 1 if sig != fault.value else -1
 
@@ -250,7 +210,7 @@ class Podem:
         for gate_idx in frontier:
             gate = self.netlist.gates[gate_idx]
             ctrl = controlling_value(gate.gtype)
-            xs = [src for src in gate.fanin if good[src] == X]
+            xs = [src for src in gate.fanin if good[src] is None]
             if not xs:
                 continue
             if ctrl is not None:
@@ -280,7 +240,7 @@ class Podem:
             gate = self.netlist.gates[idx]
             if not gate.fanin or gate.gtype is GateType.INPUT:
                 continue
-            out_x = good[idx] == X or faulty[idx] == X
+            out_x = good[idx] is None or faulty[idx] is None
             if not out_x:
                 continue
             for pin, src in enumerate(gate.fanin):
@@ -290,7 +250,7 @@ class Podem:
                     # The branch fault's D is visible only in this pin's
                     # view: faulty side reads the stuck value.
                     faulty_in = fault.value
-                if (good_in != X and faulty_in != X
+                if (good_in is not None and faulty_in is not None
                         and good_in != faulty_in):
                     frontier.append(idx)
                     break
@@ -316,16 +276,15 @@ class Podem:
             visited.add(current)
             gate = gates[current]
             if gate.gtype is GateType.INPUT:
-                if good[current] == X:
+                if good[current] is None:
                     return current, want
                 return None, 0
             if not gate.fanin:
                 return None, 0  # constants cannot be justified
-            if gate.gtype in (GateType.NOT, GateType.NAND, GateType.NOR,
-                              GateType.XNOR):
+            if gate.gtype in INVERTING_TYPES:
                 want = 1 - want
             x_pins = [pin for pin, src in enumerate(gate.fanin)
-                      if good[src] == X]
+                      if good[src] is None]
             if not x_pins:
                 return None, 0
             pin = self._choose_pin(gate, want, x_pins)
@@ -333,7 +292,7 @@ class Podem:
             if gate.gtype in (GateType.XOR, GateType.XNOR):
                 acc = 0
                 for p, src in enumerate(gate.fanin):
-                    if p != pin and good[src] != X:
+                    if p != pin and good[src] is not None:
                         acc ^= good[src]
                 if len(x_pins) == 1:
                     want = want ^ acc  # last X pin: value is forced
@@ -355,22 +314,20 @@ class Podem:
         if not self.guided or len(x_pins) == 1:
             return x_pins[0]
         cc0, cc1 = self._cc0, self._cc1
-        gt = gate.gtype
-        if gt in (GateType.AND, GateType.NAND):
+        core = GATE_CORE[gate.gtype][0]
+        if core is GateType.AND:
             if want == 1:
                 return max(x_pins,
                            key=lambda p: (cc1[gate.fanin[p]], -p))
             return min(x_pins, key=lambda p: (cc0[gate.fanin[p]], p))
-        if gt in (GateType.OR, GateType.NOR):
+        if core is GateType.OR:
             if want == 0:
                 return max(x_pins,
                            key=lambda p: (cc0[gate.fanin[p]], -p))
             return min(x_pins, key=lambda p: (cc1[gate.fanin[p]], p))
-        if gt in (GateType.XOR, GateType.XNOR):
-            return max(x_pins,
-                       key=lambda p: (min(cc0[gate.fanin[p]],
-                                          cc1[gate.fanin[p]]), -p))
-        return x_pins[0]
+        return max(x_pins,
+                   key=lambda p: (min(cc0[gate.fanin[p]],
+                                      cc1[gate.fanin[p]]), -p))
 
 
 def fill_assignment(netlist: Netlist, assignment: dict,

@@ -1,16 +1,22 @@
-"""Gate semantics: scalar truth tables and bit-parallel consistency."""
+"""Gate semantics: scalar truth tables, and every evaluator derived from
+the one ``(core, invert)`` table checked against the hand-written
+scalar oracle."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from repro.circuit import Netlist
 from repro.circuit.gatetypes import (GateType, INVERTED_COUNTERPART,
                                      LOGIC_TYPES, MULTI_INPUT_TYPES,
                                      REPLACEMENT_CLASSES, SOURCE_TYPES,
                                      UNARY_TYPES, arity_ok,
-                                     controlling_value, eval_scalar,
+                                     controlling_value, eval_row,
+                                     eval_scalar, eval_ternary,
                                      eval_words, has_controlling_value)
+from repro.sim import PatternSet, propagate, simulate
+from repro.sim.logicsim import lookup
 
 BINARY_TRUTH = {
     GateType.AND: [0, 0, 0, 1],
@@ -41,25 +47,72 @@ def test_unary_truth_tables():
 def test_constants():
     assert eval_scalar(GateType.CONST0, []) == 0
     assert eval_scalar(GateType.CONST1, []) == 1
+    assert eval_ternary(GateType.CONST0, []) == 0
+    assert eval_ternary(GateType.CONST1, []) == 1
+    assert eval_row(GateType.CONST0, [], 0xFF) == 0
+    assert eval_row(GateType.CONST1, [], 0xFF) == 0xFF
 
 
-@pytest.mark.parametrize("n_inputs", [1, 2, 3, 4])
-@pytest.mark.parametrize("gtype", sorted(MULTI_INPUT_TYPES,
-                                         key=lambda g: g.name))
+#: Every combinational gate type at every arity it takes up to 4.
+ORACLE_CASES = [(gtype, n) for gtype in sorted(LOGIC_TYPES,
+                                               key=lambda g: g.name)
+                for n in ((1,) if gtype in UNARY_TYPES else (1, 2, 3, 4))]
+ORACLE_IDS = [f"{gtype}-{n}" for gtype, n in ORACLE_CASES]
+
+
+def _one_gate(gtype, n):
+    nl = Netlist(f"{gtype.name}{n}")
+    ins = [nl.add_input(f"i{pin}") for pin in range(n)]
+    gate = nl.add_gate("g", gtype, ins)
+    nl.set_outputs([gate])
+    return nl, gate
+
+
+@pytest.mark.parametrize("gtype, n_inputs", ORACLE_CASES, ids=ORACLE_IDS)
 def test_words_match_scalar(gtype, n_inputs):
-    """Bit-parallel evaluation agrees with the scalar oracle on every
-    input combination, bit position by bit position."""
-    combos = list(itertools.product((0, 1), repeat=n_inputs))
-    words = []
-    for pin in range(n_inputs):
-        packed = 0
-        for bit, combo in enumerate(combos):
-            packed |= combo[pin] << bit
-        words.append(np.array([packed], dtype=np.uint64))
-    result = eval_words(gtype, words)
-    for bit, combo in enumerate(combos):
-        expected = eval_scalar(gtype, combo)
-        assert (int(result[0]) >> bit) & 1 == expected, (gtype, combo)
+    """Every bit-parallel evaluator derived from the gate table agrees
+    with the scalar oracle on every input combination, bit position by
+    bit position: packed words (``eval_words``), big-int rows
+    (``eval_row``) and the event kernel of ``propagate``.
+
+    Vector *i* of the exhaustive set drives pin *p* with bit *p* of
+    *i*.  ``propagate`` starts from the complemented stimulus and
+    forces every input to the exhaustive rows, so the gate is
+    re-evaluated by the kernel itself rather than read back from the
+    baseline.
+    """
+    patterns = PatternSet.exhaustive(n_inputs)
+    nbits = 1 << n_inputs
+    mask = (1 << nbits) - 1
+    words = list(patterns.words)
+    nl, gate = _one_gate(gtype, n_inputs)
+    baseline = simulate(nl, PatternSet(~patterns.words, nbits))
+    forced = propagate(nl, baseline, dict(zip(nl.inputs, words)))
+    results = {
+        "eval_words": int(eval_words(gtype, words)[0]) & mask,
+        "eval_row": eval_row(gtype, [int(w[0]) & mask for w in words],
+                             mask),
+        "propagate": int(lookup(forced, baseline, gate)[0]) & mask,
+    }
+    want = sum(eval_scalar(gtype, [(i >> p) & 1 for p in range(n_inputs)])
+               << i for i in range(nbits))
+    assert results == dict.fromkeys(results, want)
+
+
+@pytest.mark.parametrize("gtype, n", ORACLE_CASES, ids=ORACLE_IDS)
+def test_ternary_is_the_exact_kleene_extension(gtype, n):
+    """``eval_ternary`` returns v exactly when every 0/1 completion of
+    its X inputs gives v under ``eval_scalar``, and X otherwise."""
+    for inputs in itertools.product((0, 1, None), repeat=n):
+        free = [p for p, v in enumerate(inputs) if v is None]
+        outcomes = set()
+        for fill in itertools.product((0, 1), repeat=len(free)):
+            full = list(inputs)
+            for p, v in zip(free, fill):
+                full[p] = v
+            outcomes.add(eval_scalar(gtype, full))
+        want = outcomes.pop() if len(outcomes) == 1 else None
+        assert eval_ternary(gtype, list(inputs)) == want, (gtype, inputs)
 
 
 def test_words_not_flips_all_bits():

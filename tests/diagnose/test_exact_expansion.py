@@ -2,8 +2,9 @@
 
 The engine screens a node's stuck-at corrections with one popcount of
 the whole value matrix and decides a leaf's fate by propagating the
-forced line instead of building the child netlist.  These tests keep
-the per-correction formulations as the reference and check that both
+forced line (or by the verdict the head ordering already measured)
+instead of building the child netlist.  These tests keep the
+per-correction formulations as the reference and check that the
 shortcuts give the same answers.
 """
 
@@ -100,6 +101,7 @@ def test_matrix_screen_matches_per_correction_loop(name, safety):
     config = DiagnosisConfig(mode=Mode.STUCK_AT, exact=True,
                              theorem1_safety=safety)
     kinds = set()
+    verdicts = set()
     admitted = 0
     for seed in range(4):
         for state in node_states(name, seed):
@@ -115,9 +117,19 @@ def test_matrix_screen_matches_per_correction_loop(name, safety):
                                       remaining, config, EngineStats())
                 want = reference_screen_and_rank(state, lines,
                                                  remaining, config)
-                assert got == want, (name, seed, remaining)
+                assert [entry[:2] for entry in got] == want, (
+                    name, seed, remaining)
+                head_n = min(len(got), config.corrections_per_node)
+                for i, (_c, corr, fixes_all) in enumerate(got):
+                    if i < head_n:
+                        assert fixes_all == fast_stuck_at_child(
+                            state, corr).rectified, (name, seed, corr)
+                        verdicts.add(fixes_all)
+                    else:
+                        assert fixes_all is None
                 admitted += len(got)
     assert admitted > 0
+    assert verdicts == {False, True}
     assert kinds == {"stem", "branch", "constant"}
 
 

@@ -17,13 +17,13 @@ from repro.faults.models import (Correction, CorrectionKind,
 from repro.sim import PatternSet, simulate
 
 
-def build():
+def build(g_type=GateType.AND, g_arity=3):
     nl = Netlist("m")
     a = nl.add_input("a")
     b = nl.add_input("b")
     c = nl.add_input("c")
     inv = nl.add_gate("inv", GateType.NOT, [a])
-    g = nl.add_gate("g", GateType.AND, [inv, b, c])
+    g = nl.add_gate("g", g_type, [inv, b, c][:g_arity])
     h = nl.add_gate("h", GateType.OR, [g, a])
     k = nl.add_gate("k", GateType.NAND, [g, b])
     nl.set_outputs([h, k])
@@ -60,10 +60,36 @@ ALL_KINDS_ON_G = [
 ]
 
 
-@pytest.mark.parametrize("template", ALL_KINDS_ON_G,
-                         ids=lambda c: c.kind.value + str(c.pin or ""))
-def test_prediction_matches_structural_application(template):
-    nl = build()
+#: Every kind on the 3-input AND ``g``, then the arity rule at its
+#: boundaries: a 2-input gate of each multi-input type losing a wire
+#: (it becomes BUF or NOT), and a BUF or NOT gaining one (it becomes
+#: AND or NAND, or the type the correction names).
+PREDICTION_CASES = [
+    pytest.param(GateType.AND, 3, template,
+                 id=template.kind.value + str(template.pin or ""))
+    for template in ALL_KINDS_ON_G
+] + [
+    pytest.param(gtype, 2,
+                 Correction(0, CorrectionKind.REMOVE_INPUT_WIRE, pin=1),
+                 id=f"remove_wire1-{gtype.name}2")
+    for gtype in (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
+                  GateType.XOR, GateType.XNOR)
+] + [
+    pytest.param(gtype, 1,
+                 Correction(0, CorrectionKind.ADD_INPUT_WIRE,
+                            new_type=new_type, other_signal=0),
+                 id=f"add_wire-{gtype.name}-{new_type and new_type.name}")
+    for gtype, promotions in (
+        (GateType.BUF, (GateType.AND, GateType.OR, GateType.XOR)),
+        (GateType.NOT, (GateType.NAND, GateType.NOR, GateType.XNOR)))
+    for new_type in (None,) + promotions
+]
+
+
+@pytest.mark.parametrize("g_type, g_arity, template", PREDICTION_CASES)
+def test_prediction_matches_structural_application(g_type, g_arity,
+                                                   template):
+    nl = build(g_type, g_arity)
     table = LineTable(nl)
     g_line = table.stem(nl.index_of("g")).index
     corr = Correction(g_line, template.kind, template.new_type,

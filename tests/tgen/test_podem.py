@@ -3,27 +3,12 @@
 import pytest
 
 from repro.circuit import GateType, LineTable, Netlist, generators
+from repro.circuit.gatetypes import eval_ternary
 from repro.errors import SimulationError
 from repro.faults.collapse import collapsed_faults
 from repro.sim import FaultSimulator, SimFault, all_faults
-from repro.tgen.podem import Podem, X, eval3, fill_assignment
+from repro.tgen.podem import Podem, fill_assignment
 from repro.tgen.randgen import patterns_from_vectors
-
-
-def test_eval3_truth():
-    assert eval3(GateType.AND, [1, X]) == X
-    assert eval3(GateType.AND, [0, X]) == 0
-    assert eval3(GateType.OR, [1, X]) == 1
-    assert eval3(GateType.OR, [0, X]) == X
-    assert eval3(GateType.NOT, [X]) == X
-    assert eval3(GateType.NOT, [0]) == 1
-    assert eval3(GateType.XOR, [1, X]) == X
-    assert eval3(GateType.XOR, [1, 1]) == 0
-    assert eval3(GateType.NAND, [0, X]) == 1
-    assert eval3(GateType.NOR, [X, X]) == X
-    assert eval3(GateType.XNOR, [1, 0]) == 0
-    assert eval3(GateType.CONST0, []) == 0
-    assert eval3(GateType.CONST1, []) == 1
 
 
 @pytest.mark.parametrize("name", ["c17", "r432", "r499"])
@@ -188,3 +173,60 @@ def test_static_precheck_skips_redundant_fault():
     assert stats.static_untestable
     assert stats.backtracks == 0 and stats.implications == 0
     assert not stats.aborted
+
+
+def whole_netlist_imply(podem, pi_values, fault):
+    """Reference implication: 3-valued good/faulty simulation of the
+    whole netlist from scratch under a partial PI assignment."""
+    line = podem.table[fault.line]
+    n = len(podem.netlist.gates)
+    good = [None] * n
+    faulty = [None] * n
+    gates = podem.netlist.gates
+    for idx in podem.netlist.topo_order():
+        gate = gates[idx]
+        if gate.gtype is GateType.INPUT:
+            good[idx] = faulty[idx] = pi_values.get(idx)
+        else:
+            gvals = [good[src] for src in gate.fanin]
+            fvals = [faulty[src] for src in gate.fanin]
+            if not line.is_stem and idx == line.sink:
+                fvals[line.pin] = fault.value
+            good[idx] = eval_ternary(gate.gtype, gvals)
+            faulty[idx] = eval_ternary(gate.gtype, fvals)
+        if line.is_stem and idx == line.driver:
+            faulty[idx] = fault.value
+    return good, faulty
+
+
+class CheckedPodem(Podem):
+    """Compares every cone-limited implication with the reference."""
+
+    checks = 0
+
+    def _imply(self, pi_values, fault, good, faulty, order):
+        super()._imply(pi_values, fault, good, faulty, order)
+        assert (good, faulty) == whole_netlist_imply(self, pi_values,
+                                                     fault)
+        self.checks += 1
+
+
+@pytest.mark.parametrize("guide", [False, True])
+@pytest.mark.parametrize("make, backtracks_expected", [
+    (generators.c17, False),
+    (lambda: generators.ripple_carry_adder(8), False),
+    (lambda: generators.alu(4), True)], ids=["c17", "rca8", "alu4"])
+def test_incremental_implication_matches_whole_netlist(
+        make, backtracks_expected, guide):
+    """After every decision and backtrack, re-evaluating the changed
+    PIs' cones gives what simulating the whole netlist gives."""
+    circuit = make()
+    table = LineTable(circuit)
+    podem = CheckedPodem(circuit, table, guide=guide)
+    implications = backtracks = 0
+    for fault in all_faults(table):
+        _assignment, stats = podem.generate(fault)
+        implications += stats.implications
+        backtracks += stats.backtracks
+    assert podem.checks == implications > 0
+    assert (backtracks > 0) == backtracks_expected
