@@ -7,8 +7,9 @@ finite lattice attached to every signal.  This module provides:
 * a generic worklist engine (:func:`run_dataflow`) that schedules gates
   over the strongly-connected-component condensation of the netlist —
   forward (fanin-to-fanout) or backward (fanout-to-fanin) — and iterates
-  chaotically inside each non-trivial SCC until stable.  The engine
-  never calls :meth:`Netlist.topo_order`, so it is safe on netlists with
+  chaotically inside each non-trivial SCC until stable, over the whole
+  netlist or re-solving one region of it.  The engine never calls
+  :meth:`Netlist.topo_order`, so it is safe on netlists with
   combinational cycles (the lint rules analyze broken circuits too);
 * four concrete analyses, packaged as :class:`NetlistFacts`:
 
@@ -40,11 +41,11 @@ finite lattice attached to every signal.  This module provides:
      controlling value.
 
 The facts are cached on the netlist itself (``netlist._facts``) and
-stamped with the netlist's edit-journal version: :func:`netlist_facts`
-returns the cached bundle while the version matches and installs a
-fresh lazy bundle after any mutation.  The one warm path is the
-diagnosis search's child copy, whose constants and observability
-:mod:`repro.analyze.incremental` carries over from the parent's bundle.
+stamped with the netlist's edit version: :func:`netlist_facts` returns
+the cached bundle while the version matches and installs a fresh lazy
+bundle after any mutation.  The one warm path is the diagnosis search's
+child copy, whose constants and observability :func:`warm_facts`
+carries over from the parent's bundle across the copy's change record.
 Consumers: the deep lint rules
 (:mod:`repro.analyze.rules_deep`), the rewired ``const-feed`` /
 ``unobservable-line`` semantic rules, the static suspect pre-screen in
@@ -54,7 +55,8 @@ Consumers: the deep lint rules
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from ..circuit.gatetypes import GateType, controlling_value, eval_ternary
 from ..circuit.netlist import Gate, Netlist
@@ -62,7 +64,7 @@ from ..circuit.netlist import Gate, Netlist
 __all__ = [
     "DataflowDomain", "run_dataflow", "strongly_connected_components",
     "TernaryConstants", "Implications", "OdcCondition", "NetlistFacts",
-    "netlist_facts",
+    "netlist_facts", "warm_facts",
 ]
 
 
@@ -163,27 +165,49 @@ class DataflowDomain:
         return self.start(gate)
 
 
-def _dependency_edges(netlist: Netlist, direction: str) -> List[List[int]]:
-    """Per-gate dependency lists for the chosen direction.
+def _dependency_edges(netlist: Netlist, direction: str,
+                      region: Optional[Set[int]]
+                      ) -> Tuple[Sequence[int], List[Sequence[int]]]:
+    """The gates to solve, ascending, and their dependency lists inside
+    that set, as positions in it.
 
-    DFF edges are sequential, never combinational, so a DFF has no
-    forward dependencies and is never a backward dependency — exactly
-    the convention of the simulator and the cone helpers.
+    ``region=None`` means every gate, whose positions are the gate
+    indices.  DFF edges are sequential, never combinational, so a DFF
+    has no forward dependencies and is never a backward dependency —
+    exactly the convention of the simulator and the cone helpers.
     """
     gates = netlist.gates
     if direction == "forward":
-        return [[] if g.gtype is GateType.DFF else list(g.fanin)
-                for g in gates]
-    deps: List[List[int]] = []
-    fanouts = netlist.fanouts()
-    for i in range(len(gates)):
-        deps.append([c for c in dict.fromkeys(fanouts[i])
-                     if gates[c].gtype is not GateType.DFF])
-    return deps
+        def raw(g: int) -> Sequence[int]:
+            gate = gates[g]
+            return () if gate.gtype is GateType.DFF else gate.fanin
+    else:
+        fanouts = netlist.fanouts()
+
+        def raw(g: int) -> Sequence[int]:
+            return [c for c in dict.fromkeys(fanouts[g])
+                    if gates[c].gtype is not GateType.DFF]
+    if region is None:
+        members: Sequence[int] = range(len(gates))
+        return members, [raw(g) for g in members]
+    members = sorted(region)
+    local = {g: pos for pos, g in enumerate(members)}
+    return members, [[local[d] for d in raw(g) if d in local]
+                     for g in members]
 
 
-def run_dataflow(netlist: Netlist, domain: DataflowDomain) -> list:
+def run_dataflow(netlist: Netlist, domain: DataflowDomain,
+                 values: Optional[list] = None,
+                 region: Optional[Set[int]] = None) -> list:
     """Run ``domain`` to its fixed point; returns one value per gate.
+
+    With ``region``, only those gates are re-solved, in place in
+    ``values``, which must already hold the fixed point outside the
+    region; the region must hold every gate that depends on one of its
+    members, so a cycle lies wholly inside or outside it.  The region
+    restarts from ``domain.start`` and is scheduled over its own SCC
+    condensation, which orders it exactly as the whole netlist's does;
+    a whole-netlist run is the region of every gate.
 
     Scheduling: the SCC condensation of the dependency graph is
     processed dependencies-first.  Acyclic components need exactly one
@@ -193,38 +217,64 @@ def run_dataflow(netlist: Netlist, domain: DataflowDomain) -> list:
     of a cyclic SCC is re-evaluated at most ``height * |SCC|`` times.
     """
     gates = netlist.gates
-    deps = _dependency_edges(netlist, domain.direction)
-    comps = strongly_connected_components(len(gates), deps.__getitem__)
-    values: list = [domain.start(g) for g in gates]
-    for comp in comps:
+    members, deps = _dependency_edges(netlist, domain.direction, region)
+    if values is None:
+        values = [domain.start(g) for g in gates]
+    else:
+        for i in members:
+            values[i] = domain.start(gates[i])
+    for comp in strongly_connected_components(len(members),
+                                              deps.__getitem__):
         cyclic = len(comp) > 1 or comp[0] in deps[comp[0]]
         if not cyclic:
-            i = comp[0]
+            i = members[comp[0]]
             values[i] = domain.transfer(gates[i], values)
             continue
         if not domain.iterate_cycles:
-            for i in comp:
+            for pos in comp:
+                i = members[pos]
                 values[i] = domain.cycle_value(gates[i])
             continue
-        members = set(comp)
-        users: Dict[int, List[int]] = {i: [] for i in comp}
-        for i in comp:
-            for d in deps[i]:
-                if d in members:
-                    users[d].append(i)
+        in_comp = set(comp)
+        users: Dict[int, List[int]] = {pos: [] for pos in comp}
+        for pos in comp:
+            for d in deps[pos]:
+                if d in in_comp:
+                    users[d].append(pos)
         pending = list(comp)
         queued = set(comp)
         while pending:
-            i = pending.pop()
-            queued.discard(i)
+            pos = pending.pop()
+            queued.discard(pos)
+            i = members[pos]
             new = domain.transfer(gates[i], values)
             if new != values[i]:
                 values[i] = new
-                for u in users[i]:
+                for u in users[pos]:
                     if u not in queued:
                         queued.add(u)
                         pending.append(u)
     return values
+
+
+def _fanout_closure(netlist: Netlist, seeds: Iterable[int]) -> Set[int]:
+    """``seeds`` and every gate combinationally downstream of them.
+
+    A plain BFS rather than :meth:`Netlist.sorted_cone`, so it is safe
+    on netlists with combinational cycles, where topological sorting
+    raises; DFF fanin edges are sequential and not followed.
+    """
+    gates = netlist.gates
+    fanouts = netlist.fanouts()
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        node = stack.pop()
+        for nxt in fanouts[node]:
+            if nxt not in seen and gates[nxt].gtype is not GateType.DFF:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 # ----------------------------------------------------------------------
@@ -627,8 +677,8 @@ class NetlistFacts:
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        #: Edit-journal version this bundle describes; when the netlist
-        #: moves past it, :func:`netlist_facts` starts a fresh bundle.
+        #: Edit version this bundle describes; when the netlist moves
+        #: past it, :func:`netlist_facts` starts a fresh bundle.
         self.version: int = netlist._version
         self._constants: Optional[Dict[int, int]] = None
         self._literals: Optional[List[Tuple[int, bool]]] = None
@@ -776,27 +826,13 @@ class NetlistFacts:
 
     # -- cones (BFS membership only; cycle-safe on purpose) ------------
     def cone(self, signal: int) -> frozenset:
-        """Fanout-cone membership of ``signal`` (itself included).
-
-        Computed with a plain BFS rather than
-        :meth:`Netlist.sorted_cone` so lint can run on netlists with
-        combinational cycles, where topological sorting raises.
-        """
-        cached = self._cones.get(signal)
-        if cached is not None:
-            return cached
-        gates = self.netlist.gates
-        fanouts = self.netlist.fanouts()
-        seen = {signal}
-        stack = [signal]
-        while stack:
-            node = stack.pop()
-            for nxt in fanouts[node]:
-                if nxt not in seen and gates[nxt].gtype is not GateType.DFF:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        cone = frozenset(seen)
-        self._cones[signal] = cone
+        """Fanout-cone membership of ``signal`` (itself included),
+        cycle-safe (:func:`_fanout_closure`) so lint can run on netlists
+        with combinational cycles."""
+        cone = self._cones.get(signal)
+        if cone is None:
+            cone = frozenset(_fanout_closure(self.netlist, (signal,)))
+            self._cones[signal] = cone
         return cone
 
     # -- ODCs ----------------------------------------------------------
@@ -1041,7 +1077,7 @@ def netlist_facts(netlist: Netlist) -> NetlistFacts:
     """The facts bundle for ``netlist``, cached and version-checked.
 
     The cache rides on ``netlist._facts``.  While the netlist's
-    edit-journal version matches the bundle's, the cached object is
+    edit version matches the bundle's, the cached object is
     returned as-is; after any mutation a *new* lazy bundle is installed,
     so a stale bundle can never describe a mutated circuit and identity
     of the returned object certifies an unchanged snapshot.
@@ -1051,4 +1087,33 @@ def netlist_facts(netlist: Netlist) -> NetlistFacts:
         return facts
     fresh = NetlistFacts(netlist)
     netlist._facts = fresh
+    return fresh
+
+
+def warm_facts(netlist: Netlist, base: NetlistFacts) -> NetlistFacts:
+    """A fresh bundle for ``netlist`` — a :meth:`~Netlist.copy` of
+    ``base``'s netlist, changed since as its known change record says —
+    whose constants and observability are carried over from ``base``.
+
+    Only sections ``base`` had materialized are warmed; the rest of the
+    new bundle is lazy, and ``base`` is never mutated.  Both rules are
+    exact: the warmed section equals a from-scratch computation.
+
+    * Constants re-solve the fanout closure of ``netlist.touched``.  A
+      gate outside it depends on no edited gate, so the old fixed point
+      restricted to the outside is a fixed point of the new system there
+      and, being unique, the new one; :func:`run_dataflow` re-descends
+      the region from those boundary values.
+    * Observability depends only on edges and the output list, so it is
+      copied unless ``netlist.rewired``.
+    """
+    fresh = NetlistFacts(netlist)
+    if base._constants is not None:
+        values = [base._constants.get(i) for i in range(len(netlist.gates))]
+        run_dataflow(netlist, TernaryConstants(), values,
+                     _fanout_closure(netlist, netlist.touched))
+        fresh._constants = {i: v for i, v in enumerate(values)
+                            if v is not None}
+    if base._observable is not None and not netlist.rewired:
+        fresh._observable = base._observable
     return fresh

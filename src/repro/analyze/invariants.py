@@ -169,7 +169,7 @@ class InvariantChecker:
 
 def _check_structure(netlist: Netlist) -> None:
     """Materialized structural caches (inherited by ``copy()``, patched
-    by the journal) equal a recompute; the order need only be valid."""
+    per edit) equal a recompute; the order need only be valid."""
     scratch = Netlist(netlist.name)
     scratch.gates = netlist.gates  # read-only: same gates, no caches
     for label, cached, fresh in (

@@ -7,15 +7,17 @@ output" are interchangeable here.  Primary inputs are gates of type
 
 The netlist is *mutable* because the diagnosis algorithm repeatedly applies
 structural corrections (change a gate's type, insert an inverter, rewire a
-fanin, tie a line to a constant).  Each mutation appends structured
-:class:`~repro.circuit.delta.NetlistEdit` records to an edit journal and
-*patches* the cached topological order / fanout lists / cones in place
-(Pearce–Kelly rank repair for order-violating edge insertions); a full
-invalidation (:meth:`Netlist._dirty`) remains as the fallback for edits
-with no per-record description.  Consumers snapshot :attr:`version` and
-later call :meth:`edits_since` to learn what changed; the diagnosis
-search uses it to warm a child copy's pre-screen facts from its parent's
-(:mod:`repro.analyze.incremental`).
+fanin, tie a line to a constant).  Each primitive edit bumps
+:attr:`Netlist.version` and *patches* the cached topological order /
+fanout lists / cones in place (Pearce–Kelly rank repair for
+order-violating edge insertions); a full invalidation
+(:meth:`Netlist._dirty`) remains as the fallback for edits the patcher
+cannot describe.  A :meth:`Netlist.copy` also keeps a change record —
+the gates whose function or fanin changed since the copy
+(:attr:`Netlist.touched`) and whether any edge or the output list did
+(:attr:`Netlist.rewired`) — from which the diagnosis search warms a
+child copy's pre-screen facts from its parent's
+(:func:`repro.analyze.dataflow.warm_facts`).
 
 Gates removed by an edit are never physically deleted (indices stay
 stable); they become *detached* — no longer reachable from an output — and
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ..errors import NetlistError
-from .delta import JOURNAL_CAP, NetlistDelta, NetlistEdit
 from .gatetypes import (GateType, SOURCE_TYPES, arity_ok, demoted,
                         promoted)
 
@@ -57,7 +58,7 @@ class Gate:
 #: Types whose signals cut the combinational graph (free values for the
 #: prover, sequential boundaries for cones).  A type change into or out of
 #: this set rewires connectivity semantics wholesale, so such edits fall
-#: back to full invalidation instead of a journal record.
+#: back to full invalidation instead of a cache patch.
 _CUT_GTYPES = (GateType.INPUT, GateType.DFF)
 
 
@@ -80,14 +81,17 @@ class Netlist:
         # there, invalidated here with the other derived caches).
         self._sim_tables: tuple | None = None
         # Static-analysis facts owned by repro.analyze.dataflow.  Not
-        # dropped by journalled edits: the bundle's version stamp tells
+        # dropped by recorded edits: the bundle's version stamp tells
         # netlist_facts to start a fresh one when versions diverge.
         self._facts: object | None = None
-        # Edit journal: monotone version counter plus the record list for
-        # versions in [_journal_base, _version].
+        # One bump per primitive edit and per _dirty().
         self._version: int = 0
-        self._journal: list[NetlistEdit] = []
-        self._journal_base: int = 0
+        #: Change record since :meth:`copy`: the gates whose function or
+        #: fanin changed, added gates included; ``None`` when unknown (a
+        #: netlist that is not a copy, or after :meth:`_dirty`).
+        self.touched: set[int] | None = None
+        #: Whether any edge or the output list changed since the copy.
+        self.rewired: bool = False
 
     # ------------------------------------------------------------------
     # construction
@@ -113,8 +117,7 @@ class Netlist:
         index = len(self.gates)
         self.gates.append(Gate(index, name, gtype, list(fanin)))
         self._name2idx[name] = index
-        self._record(NetlistEdit("gate_added", gate=index,
-                                 new=(gtype, tuple(fanin))))
+        self._record("gate_added", index)
         return index
 
     def add_input(self, name: str) -> int:
@@ -129,9 +132,8 @@ class Netlist:
                 raise NetlistError(f"output index {out} out of range")
         if outs == self.outputs:
             return
-        old = tuple(self.outputs)
         self.outputs = outs
-        self._record(NetlistEdit("outputs_set", old=old, new=tuple(outs)))
+        self._record("outputs_set")
 
     def fresh_name(self, stem: str) -> str:
         """Return a gate name starting with ``stem`` not yet in use."""
@@ -198,7 +200,7 @@ class Netlist:
         signal changes — a multi-pin consumer needs scheduling once, and
         DFF fanin is a sequential edge that combinational events never
         cross.  Cached until the next mutation (rows for edited signals
-        are recomputed in place by the journal patcher).
+        are recomputed in place by the cache patcher).
         """
         if self._event_fanouts is None:
             self.fanouts()
@@ -376,41 +378,33 @@ class Netlist:
         }
 
     # ------------------------------------------------------------------
-    # edit journal
+    # edit version and change record
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
-        """Monotone edit counter.  Snapshot it, mutate, then feed it to
-        :meth:`edits_since` to learn what changed."""
+        """Monotone edit counter: one per primitive edit and one per full
+        invalidation.  A fresh :meth:`copy` starts at 0."""
         return self._version
 
-    def edits_since(self, version: int) -> Optional[NetlistDelta]:
-        """Return the edits applied after ``version``, oldest first.
+    def _record(self, kind: str, gate: int = -1,
+                old: Optional[int] = None,
+                new: Optional[int] = None) -> None:
+        """Count one primitive edit (already applied to ``gates``), add
+        it to the change record and patch the structural caches.
 
-        ``None`` means the journal cannot answer — the snapshot predates
-        a full invalidation or fell off the bounded journal — and the
-        caller must recompute its derived state from scratch.  An empty
-        delta (``version == self.version``) means nothing changed.
+        ``kind`` is ``gate_added``, ``type_changed``, ``outputs_set`` or
+        a pin edit (``pin_replaced``, ``pin_removed``, ``pin_added``) of
+        ``gate`` that drops source ``old`` and/or adds source ``new``.
         """
-        if version == self._version:
-            return NetlistDelta(())
-        if version < self._journal_base or version > self._version:
-            return None
-        return NetlistDelta(tuple(self._journal[version - self._journal_base:]))
-
-    def _record(self, edit: NetlistEdit) -> None:
-        """Journal one primitive edit (already applied to ``gates``) and
-        patch the structural caches in place."""
         self._version += 1
-        self._journal.append(edit)
-        if len(self._journal) > JOURNAL_CAP:
-            drop = len(self._journal) // 2
-            del self._journal[:drop]
-            self._journal_base += drop
-        self._patch_caches(edit)
+        if kind != "type_changed":
+            self.rewired = True
+        if kind != "outputs_set" and self.touched is not None:
+            self.touched.add(gate)
+        self._patch_caches(kind, gate, old, new)
 
     # ------------------------------------------------------------------
-    # cache patching (per journalled edit)
+    # cache patching (per primitive edit)
     # ------------------------------------------------------------------
     def _drop_cones_touching(self, srcs: set[int]) -> None:
         """Drop cached cones whose membership may include an edited
@@ -486,14 +480,15 @@ class Netlist:
             pos[node] = slot
         return set(movers)
 
-    def _patch_caches(self, e: NetlistEdit) -> None:
-        """Repair the structural caches for one journalled edit.
+    def _patch_caches(self, kind: str, gate: int, old: Optional[int],
+                      new: Optional[int]) -> None:
+        """Repair the structural caches for one primitive edit (see
+        :meth:`_record`).
 
         Invariant: ``self.gates`` already reflects the edit, and compound
         mutators interleave mutate/record per primitive change, so the
         caches and the gate list agree at every call.
         """
-        kind = e.kind
         if kind == "outputs_set":
             return  # no structural cache depends on the output list
         self._sim_tables = None
@@ -503,8 +498,8 @@ class Netlist:
             return
         gates = self.gates
         if kind == "gate_added":
-            idx = e.gate
-            gtype, fanin = e.new
+            idx = gate
+            gtype, fanin = gates[idx].gtype, gates[idx].fanin
             if self._fanouts is not None:
                 self._fanouts.append([])
                 for src in fanin:
@@ -529,14 +524,9 @@ class Netlist:
                 self._drop_cones_touching(set(fanin))
             return
         # pin edits
-        sink = e.gate
-        if kind == "pin_replaced":
-            old_srcs: tuple[int, ...] = (e.old,)
-            new_srcs: tuple[int, ...] = (e.new,)
-        elif kind == "pin_removed":
-            old_srcs, new_srcs = (e.old,), ()
-        else:  # pin_added
-            old_srcs, new_srcs = (), (e.new,)
+        sink = gate
+        old_srcs: tuple[int, ...] = () if old is None else (old,)
+        new_srcs: tuple[int, ...] = () if new is None else (new,)
         if self._fanouts is not None:
             for src in old_srcs:
                 self._fanouts[src].remove(sink)
@@ -567,15 +557,14 @@ class Netlist:
     # mutation (used by fault injection and corrections)
     # ------------------------------------------------------------------
     def _dirty(self) -> None:
-        """Full invalidation: drop every derived cache and reset the edit
-        journal, so snapshots taken before this point see ``None`` from
-        :meth:`edits_since` and recompute from scratch.
+        """Full invalidation: drop every derived cache and make the
+        change record unknown, so a warm from the parent's facts falls
+        back to recomputing from scratch.
 
-        The fallback for edits the journal cannot describe (cut-type
-        changes, behind-the-API surgery in tests)."""
+        The fallback for edits the cache patcher cannot describe
+        (cut-type changes, behind-the-API surgery in tests)."""
         self._version += 1
-        self._journal.clear()
-        self._journal_base = self._version
+        self.touched = None
         self._fanouts = None
         self._event_fanouts = None
         self._topo = None
@@ -589,8 +578,8 @@ class Netlist:
     def set_gate_type(self, index: int, gtype: GateType) -> None:
         """Replace the function of gate ``index`` keeping its fanin.
 
-        A same-type call is a no-op (no cache invalidation, no journal
-        record)."""
+        A same-type call is a no-op (no cache invalidation, no version
+        bump)."""
         gate = self.gates[index]
         if gate.gtype is gtype:
             return
@@ -603,15 +592,13 @@ class Netlist:
         if old in _CUT_GTYPES or gtype in _CUT_GTYPES:
             self._dirty()
         else:
-            self._record(NetlistEdit("type_changed", gate=index,
-                                     old=old, new=gtype))
+            self._record("type_changed", index)
 
     def set_fanin(self, index: int, fanin: Sequence[int]) -> None:
         """Rewire all fanin pins of gate ``index`` at once.
 
-        Decomposed into per-pin journal records (replace the common
-        prefix, then pop or append the tail); an identical fanin list is
-        a no-op."""
+        Decomposed into per-pin edits (replace the common prefix, then
+        pop or append the tail); an identical fanin list is a no-op."""
         gate = self.gates[index]
         new = list(fanin)
         if not arity_ok(gate.gtype, len(new)):
@@ -624,22 +611,20 @@ class Netlist:
             if gate.fanin[pin] != new[pin]:
                 old_src = gate.fanin[pin]
                 gate.fanin[pin] = new[pin]
-                self._record(NetlistEdit("pin_replaced", gate=index, pin=pin,
-                                         old=old_src, new=new[pin]))
+                self._record("pin_replaced", index, old_src, new[pin])
         while len(gate.fanin) > len(new):
             old_src = gate.fanin.pop()
-            self._record(NetlistEdit("pin_removed", gate=index,
-                                     pin=len(gate.fanin), old=old_src))
+            self._record("pin_removed", index, old=old_src)
         while len(gate.fanin) < len(new):
             src = new[len(gate.fanin)]
             gate.fanin.append(src)
-            self._record(NetlistEdit("pin_added", gate=index, new=src))
+            self._record("pin_added", index, new=src)
 
     def replace_fanin_pin(self, index: int, pin: int, new_src: int) -> None:
         """Rewire a single fanin pin of gate ``index``.
 
         Rewiring a pin to its current source is a no-op (no cache
-        invalidation, no journal record)."""
+        invalidation, no version bump)."""
         gate = self.gates[index]
         if not 0 <= pin < len(gate.fanin):
             raise NetlistError(f"gate {gate.name!r}: no pin {pin}")
@@ -647,8 +632,7 @@ class Netlist:
         if old_src == new_src:
             return
         gate.fanin[pin] = new_src
-        self._record(NetlistEdit("pin_replaced", gate=index, pin=pin,
-                                 old=old_src, new=new_src))
+        self._record("pin_replaced", index, old_src, new_src)
 
     def remove_fanin_pin(self, index: int, pin: int) -> None:
         """Drop one fanin pin (the "extra input wire" error/correction)."""
@@ -660,8 +644,7 @@ class Netlist:
             raise NetlistError(f"gate {gate.name!r}: no pin {pin}")
         old_src = gate.fanin[pin]
         del gate.fanin[pin]
-        self._record(NetlistEdit("pin_removed", gate=index, pin=pin,
-                                 old=old_src))
+        self._record("pin_removed", index, old=old_src)
         if len(gate.fanin) == 1:
             self.set_gate_type(index, demoted(gate.gtype))
 
@@ -676,21 +659,20 @@ class Netlist:
         # A BUF/NOT becomes AND/NAND; the caller may pick the real type.
         self.set_gate_type(index, promoted(gate.gtype))
         gate.fanin.append(new_src)
-        self._record(NetlistEdit("pin_added", gate=index, new=new_src))
+        self._record("pin_added", index, new=new_src)
 
     def _rewire_consumers(self, old_src: int, new_src: int,
                           skip: int) -> None:
         """Point every consumer pin (and PO slot) of ``old_src`` at
-        ``new_src``, journalling one ``pin_replaced`` per pin."""
+        ``new_src``, recording one ``pin_replaced`` per pin."""
         for g in self.gates:
             if g.index == skip:
                 continue
             for pin, src in enumerate(g.fanin):
                 if src == old_src:
                     g.fanin[pin] = new_src
-                    self._record(NetlistEdit(
-                        "pin_replaced", gate=g.index, pin=pin,
-                        old=old_src, new=new_src))
+                    self._record("pin_replaced", g.index, old_src,
+                                 new_src)
         if old_src in self.outputs:
             self.set_outputs(new_src if out == old_src else out
                              for out in self.outputs)
@@ -789,12 +771,14 @@ class Netlist:
     # ------------------------------------------------------------------
     def copy(self, name: str | None = None) -> "Netlist":
         """Deep copy (indices preserved).  The copy starts at version 0
-        with an empty journal: snapshot 0, mutate, and ``edits_since(0)``
-        describes exactly the mutations applied to the copy.  The caches
-        the journal repairs in place (fanouts, event fanouts, topological
-        order and ranks, levels) are carried as independent copies, so a
-        corrected copy patches them instead of rebuilding them."""
+        with an empty change record, so :attr:`version`, :attr:`touched`
+        and :attr:`rewired` describe exactly the mutations applied to the
+        copy.  The caches the patcher repairs in place (fanouts, event
+        fanouts, topological order and ranks, levels) are carried as
+        independent copies, so a corrected copy patches them instead of
+        rebuilding them."""
         dup = Netlist(name or self.name)
+        dup.touched = set()
         dup.gates = [g.copy() for g in self.gates]
         dup.outputs = list(self.outputs)
         dup._name2idx = dict(self._name2idx)

@@ -115,7 +115,7 @@ class DiagnosisConfig:
             the (cached) dataflow facts of that node's netlist.  While
             it is on, each child node that will pre-screen warms its
             constants and observability from its parent's facts via
-            the netlist edit journal
+            the child copy's change record
             (:func:`repro.diagnose.tree.warm_child_facts`); the warm
             is exact, so the verdicts equal a scratch
             recomputation's and only ``EngineStats.facts_reused`` /

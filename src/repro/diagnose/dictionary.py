@@ -57,8 +57,7 @@ class FaultDictionary:
 
     def __init__(self, netlist: Netlist, patterns: PatternSet,
                  full_response: bool = True,
-                 faults: list | None = None,
-                 static_skip: bool = True):
+                 faults: list | None = None):
         self.netlist = netlist
         self.patterns = patterns
         self.full_response = full_response
@@ -71,11 +70,9 @@ class FaultDictionary:
         #: vector set — behaviourally identical to the empty-response
         #: filter below, minus the fault-simulation cost).
         self.statically_skipped = 0
-        skip: frozenset = frozenset()
-        if static_skip:
-            from ..analyze.dataflow import netlist_facts
-            skip = frozenset(netlist_facts(netlist).testability()
-                             .untestable_line_keys(self.table))
+        from ..analyze.dataflow import netlist_facts
+        skip = frozenset(netlist_facts(netlist).testability()
+                         .untestable_line_keys(self.table))
         for fault in (faults if faults is not None
                       else all_faults(self.table)):
             if (fault.line, fault.value) in skip:

@@ -111,7 +111,7 @@ class EngineStats:
     prescreen_dropped: int = 0  # suspects removed by the static pre-screen
     facts_reused: int = 0     # child facts bundles warmed from the parent's
     facts_recomputed: int = 0  # child bundles that had to start from scratch
-    delta_edits: int = 0      # journal edits replayed by the warm repairs
+    delta_edits: int = 0      # primitive edits the warmed children carried
     dedup_checked: int = 0    # candidate pairs equivalence-checked
     dedup_merged: int = 0     # proven-equivalent candidates collapsed
     dedup_unknown: int = 0    # checks that exhausted the conflict budget

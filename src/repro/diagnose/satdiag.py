@@ -151,8 +151,9 @@ class SatDiagnoser:
     # ------------------------------------------------------------------
     def _pick_vectors(self, cap: int) -> list[int]:
         failing = bit_indices(self.state.err_mask, self.patterns.nbits)
+        failing_set = set(failing)
         passing = [v for v in range(self.patterns.nbits)
-                   if v not in set(failing)]
+                   if v not in failing_set]
         half = max(1, cap // 2)
         chosen = failing[:half] + passing[: cap - len(failing[:half])]
         return chosen

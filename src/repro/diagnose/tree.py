@@ -41,24 +41,22 @@ def warm_child_facts(parent, child, stats: EngineStats) -> None:
     Runs for every child that will pre-screen (``static_prescreen`` on
     and spare depth below the target); the warm is exact, so the
     child's pre-screen verdicts equal a scratch recomputation's.
-    ``child`` must be a fresh ``parent.copy()`` (journal snapshot 0)
-    mutated only through journalled mutators, so ``edits_since(0)`` is
-    exactly the applied correction.  When the parent never materialized
+    ``child`` must be a fresh ``parent.copy()``, so its change record
+    holds exactly the applied correction and its version counts that
+    correction's primitive edits.  When the parent never materialized
     a bundle, or the correction fell back to a full invalidation, the
     child's first pre-screen recomputes from scratch instead; either
     way exactly one counter moves.
     """
-    from ..analyze.dataflow import NetlistFacts
+    from ..analyze.dataflow import NetlistFacts, warm_facts
     base = getattr(parent, "_facts", None)
-    delta = child.edits_since(0)
     if (not isinstance(base, NetlistFacts)
-            or base.version != parent.version or delta is None):
+            or base.version != parent.version or child.touched is None):
         stats.facts_recomputed += 1
         return
-    from ..analyze.incremental import warm_facts
-    child._facts = warm_facts(child, base, delta)
+    child._facts = warm_facts(child, base)
     stats.facts_reused += 1
-    stats.delta_edits += len(delta)
+    stats.delta_edits += child.version
 
 
 @dataclass

@@ -235,8 +235,13 @@ class Podem:
 
     def _d_frontier(self, good, faulty, fault: SimFault,
                     line) -> list[int]:
+        """X-output gates with a D on some input, in topological order.
+
+        Only the fault site's fanout cone can carry a D, so only it is
+        scanned."""
         frontier = []
-        for idx in self._order:
+        for idx in self.netlist.sorted_cone(
+                line.driver if line.is_stem else line.sink):
             gate = self.netlist.gates[idx]
             if not gate.fanin or gate.gtype is GateType.INPUT:
                 continue

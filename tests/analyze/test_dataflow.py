@@ -284,13 +284,30 @@ def test_scc_order_is_dependencies_first():
     assert position[3] < position[1] == position[2] < position[0]
 
 
-def test_fixpoint_on_cyclic_netlist_terminates():
+def oscillator() -> Netlist:
+    """A two-gate combinational loop driven by one input."""
     nl = Netlist("cyc")
     a = nl.add_input("a")
     g1 = nl.add_gate("g1", GateType.AND, [a, a])
     g2 = nl.add_gate("g2", GateType.OR, [g1, a])
     nl.set_fanin(g1, [g2, a])
     nl.set_outputs([g2])
+    return nl
+
+
+def forced_loop() -> Netlist:
+    """A two-gate loop whose AND gates a constant 0 decides."""
+    nl = Netlist("forced")
+    c0 = nl.add_gate("c0", GateType.CONST0, [])
+    g1 = nl.add_gate("g1", GateType.AND, [c0, c0])
+    g2 = nl.add_gate("g2", GateType.AND, [g1, c0])
+    nl.set_fanin(g1, [g2, c0])
+    nl.set_outputs([g2])
+    return nl
+
+
+def test_fixpoint_on_cyclic_netlist_terminates():
+    nl = oscillator()
     values = run_dataflow(nl, TernaryConstants())
     assert values == [None, None, None]  # oscillator stays X
     facts = netlist_facts(nl)
@@ -299,14 +316,119 @@ def test_fixpoint_on_cyclic_netlist_terminates():
 
 def test_cycle_forced_constant_resolves():
     """A controlling value from outside a loop decides it."""
-    nl = Netlist("forced")
-    c0 = nl.add_gate("c0", GateType.CONST0, [])
-    g1 = nl.add_gate("g1", GateType.AND, [c0, c0])
-    g2 = nl.add_gate("g2", GateType.AND, [g1, c0])
-    nl.set_fanin(g1, [g2, c0])
-    nl.set_outputs([g2])
+    nl = forced_loop()
+    g1, g2 = nl.index_of("g1"), nl.index_of("g2")
     values = run_dataflow(nl, TernaryConstants())
     assert values[g1] == 0 and values[g2] == 0
+
+
+# ----------------------------------------------------------------------
+# region re-solve == whole-netlist run
+# ----------------------------------------------------------------------
+def cyclic_netlist(seed: int) -> Netlist:
+    """:func:`random_netlist` with two back edges, each rewiring a pin
+    of a gate to a gate downstream of it (a combinational cycle)."""
+    nl = random_netlist(seed, num_gates=16)
+    rng = random.Random(seed)
+    for _ in range(2):
+        sink = rng.choice([g.index for g in nl.gates if g.fanin])
+        downstream = sorted(NetlistFacts(nl).cone(sink) - {sink})
+        if downstream:
+            pin = rng.randrange(len(nl.gates[sink].fanin))
+            nl.replace_fanin_pin(sink, pin, rng.choice(downstream))
+    return nl
+
+
+REGION_CASES = {
+    "dag": lambda: generators.random_dag(num_inputs=6, num_gates=40,
+                                         num_outputs=4, seed=1),
+    **{f"rnd{seed}": (lambda seed=seed: random_netlist(seed))
+       for seed in range(4)},
+    **{f"cyc{seed}": (lambda seed=seed: cyclic_netlist(seed))
+       for seed in range(6)},
+    "oscillator": oscillator,
+    "forced": forced_loop,
+}
+
+
+def forward_region(nl: Netlist, seeds) -> set:
+    facts = NetlistFacts(nl)
+    return set().union(*(facts.cone(s) for s in seeds))
+
+
+def cycles(nl: Netlist) -> list:
+    """The combinational cycles of ``nl``, as member sets."""
+    def deps(i):
+        gate = nl.gates[i]
+        return () if gate.gtype is GateType.DFF else gate.fanin
+    return [set(comp) for comp in strongly_connected_components(
+        len(nl.gates), deps) if len(comp) > 1 or comp[0] in deps(comp[0])]
+
+
+@pytest.mark.parametrize("name", sorted(REGION_CASES))
+def test_region_resolve_equals_full_run(name):
+    """Re-solving the forward region of random gate sets, from wrong
+    values inside it and the fixed point outside it, gives the whole
+    netlist's fixed point."""
+    nl = REGION_CASES[name]()
+    full = run_dataflow(nl, TernaryConstants())
+    rng = random.Random(name)
+    whole_cycles = 0
+    for _ in range(8):
+        region = forward_region(nl, rng.sample(range(len(nl.gates)),
+                                               rng.randint(1, 3)))
+        values = list(full)
+        for g in region:
+            values[g] = rng.randrange(2) if full[g] is None \
+                else 1 - full[g]
+        assert run_dataflow(nl, TernaryConstants(), values,
+                            region) is values
+        assert values == full, sorted(region)
+        whole_cycles += sum(cyc <= region for cyc in cycles(nl))
+    if cycles(nl):
+        assert whole_cycles
+
+
+@pytest.mark.parametrize("name", sorted(REGION_CASES))
+def test_region_resolve_after_edits_equals_full_run(name):
+    """The warm's use: the parent's fixed point outside the fanout
+    closure of a copy's touched gates, two stem ties and a type change
+    inside it, re-solved to the copy's own fixed point."""
+    parent = REGION_CASES[name]()
+    rng = random.Random(name)
+    comb = [g.index for g in parent.gates
+            if g.gtype in (GateType.AND, GateType.OR)]
+    for trial in range(6):
+        child = parent.copy()
+        for line in rng.sample(range(len(parent.gates)), 2):
+            child.tie_stem_to_constant(line, rng.randrange(2))
+        if comb:
+            g = rng.choice(comb)
+            child.set_gate_type(g, GateType.OR
+                                if child.gates[g].gtype is GateType.AND
+                                else GateType.AND)
+        values = run_dataflow(parent, TernaryConstants())
+        values += [None] * (len(child.gates) - len(values))
+        run_dataflow(child, TernaryConstants(), values,
+                     forward_region(child, child.touched))
+        assert values == run_dataflow(child, TernaryConstants()), trial
+
+
+def test_region_resolve_through_a_whole_cycle():
+    """Turning the loop's deciding constant to 1 leaves the loop free:
+    its stale 0s are a fixed point too, so only the re-descent from
+    the start value finds the least one (X)."""
+    nl = forced_loop()
+    g1, g2 = nl.index_of("g1"), nl.index_of("g2")
+    values = run_dataflow(nl, TernaryConstants())
+    assert values[g1] == values[g2] == 0
+    child = nl.copy()
+    child.set_gate_type(child.index_of("c0"), GateType.CONST1)
+    region = forward_region(child, child.touched)
+    assert {g1, g2} <= region
+    run_dataflow(child, TernaryConstants(), values, region)
+    assert values == run_dataflow(child, TernaryConstants()) \
+        == [1, None, None]
 
 
 # ----------------------------------------------------------------------

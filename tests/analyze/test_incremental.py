@@ -12,12 +12,13 @@ so the warm also runs from a parent that carries tied constants.
 
 import pytest
 
-from repro.analyze.dataflow import NetlistFacts, netlist_facts
-from repro.analyze.incremental import warm_facts
+from repro.analyze.dataflow import NetlistFacts, netlist_facts, warm_facts
 from repro.circuit import LineTable, generators
 from repro.diagnose import DiagnosisConfig, Mode
 from repro.diagnose.bitlists import DiagnosisState
 from repro.diagnose.candidates import design_error_corrections
+from repro.diagnose.report import EngineStats
+from repro.diagnose.tree import warm_child_facts
 from repro.faults.inject import observable_design_error_workload
 from repro.faults.models import (STUCK_AT_KINDS, Correction,
                                  CorrectionKind, apply_correction)
@@ -79,9 +80,9 @@ def stuck_at_vocabulary(table):
 
 
 def assert_warm_matches_scratch(parent_facts, child, context):
-    delta = child.edits_since(0)
-    assert delta is not None, f"{context}: correction left the journal"
-    warm = warm_facts(child, parent_facts, delta)
+    assert child.touched is not None, \
+        f"{context}: correction left the change record unknown"
+    warm = warm_facts(child, parent_facts)
     assert warm._constants is not None       # warmed, not lazy
     scratch = NetlistFacts(child)
     assert warm.constants() == scratch.constants(), context
@@ -139,9 +140,9 @@ def test_warm_facts_does_not_mutate_base():
 def test_empty_delta_copies_sections():
     nl = CIRCUITS["rnd2"]()
     base = prescreened(nl)
-    delta = nl.edits_since(nl.version)
-    assert delta is not None and not delta
-    warm = warm_facts(nl, base, delta)
+    dup = nl.copy()
+    assert dup.touched == set() and not dup.rewired
+    warm = warm_facts(dup, base)
     assert warm.constants() == base.constants()
     assert warm.observable_set() is base.observable_set()
 
@@ -155,3 +156,33 @@ def test_version_mismatch_after_dirty_recomputes_scratch():
     assert fresh._constants is None      # scratch path: all lazy
     assert fresh.constants() == NetlistFacts(nl).constants()
     assert fresh.blocked_signals() == NetlistFacts(nl).blocked_signals()
+
+
+def test_warm_child_facts_counts_each_correction_kind():
+    """One correction of each kind on a copy: the warm adds the copy's
+    primitive edits (its version) to ``delta_edits``; a copy whose
+    change record is unknown is counted as recomputed instead."""
+    one_of_each = {}
+    for build in CIRCUITS.values():
+        state = erroneous_state(build())
+        for corr in (stuck_at_vocabulary(state.table)[:2]
+                     + design_error_vocabulary(state)):
+            one_of_each.setdefault(corr.kind, (state, corr))
+    assert set(one_of_each) == set(CorrectionKind)
+    for kind, (state, corr) in one_of_each.items():
+        parent = state.netlist
+        prescreened(parent)
+        child = parent.copy()
+        apply_correction(child, state.table, corr)
+        assert child.version > 0
+        stats = EngineStats()
+        warm_child_facts(parent, child, stats)
+        assert (stats.facts_reused, stats.facts_recomputed,
+                stats.delta_edits) == (1, 0, child.version), kind
+        child = parent.copy()
+        apply_correction(child, state.table, corr)
+        child._dirty()
+        stats = EngineStats()
+        warm_child_facts(parent, child, stats)
+        assert (stats.facts_reused, stats.facts_recomputed,
+                stats.delta_edits) == (0, 1, 0), kind

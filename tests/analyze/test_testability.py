@@ -20,7 +20,7 @@ from repro.analyze.prove import ProofStatus, prove_equivalent
 from repro.analyze.testability import INF, derive_testability, scoap_costs
 from repro.circuit import GateType, LineTable, Netlist
 from repro.faults.models import apply_correction, stuck_at_correction
-from repro.sim import FaultSimulator, PatternSet, SimFault
+from repro.sim import FaultSimulator, PatternSet, SimFault, all_faults
 from repro.sim.packing import popcount
 
 _GATE_TYPES = (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
@@ -214,9 +214,12 @@ def test_dictionary_skips_statically_untestable():
 
     nl = _redundant_netlist()
     patterns = random_patterns(nl, 16, seed=3)
-    with_skip = FaultDictionary(nl, patterns)
-    without = FaultDictionary(nl, patterns, static_skip=False)
-    assert with_skip.statically_skipped > 0
-    # skipping is behaviour-preserving: untestable faults never had a
-    # nonzero detection mask, so the signature tables are identical
-    assert set(with_skip._signatures) == set(without._signatures)
+    dictionary = FaultDictionary(nl, patterns)
+    assert dictionary.statically_skipped > 0
+    # skipping is behaviour-preserving: untestable faults never have a
+    # nonzero detection mask, so the table holds exactly the faults
+    # whose response is nonzero
+    fsim = FaultSimulator(nl, patterns, dictionary.table)
+    detected = {fault.key() for fault in all_faults(dictionary.table)
+                if fsim.output_response(fault).any()}
+    assert set(dictionary._signatures) == detected

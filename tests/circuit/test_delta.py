@@ -1,9 +1,8 @@
-"""Edit journal semantics, no-op mutations, per-mutator invalidation."""
+"""Edit version, change record, no-op mutations, per-mutator invalidation."""
 
 import pytest
 
 from repro.circuit import GateType, Netlist
-from repro.circuit.delta import JOURNAL_CAP, NetlistDelta, NetlistEdit
 
 
 def diamond():
@@ -18,7 +17,7 @@ def diamond():
 
 
 # ----------------------------------------------------------------------
-# journal basics
+# edit version and change record
 # ----------------------------------------------------------------------
 def test_version_advances_per_primitive_edit():
     nl = diamond()
@@ -27,75 +26,59 @@ def test_version_advances_per_primitive_edit():
     assert nl.version == v0 + 1
     nl.set_fanin(nl.index_of("g3"), [nl.index_of("g2"),
                                      nl.index_of("g1")])
-    assert nl.version == v0 + 3  # two pin_replaced records
+    assert nl.version == v0 + 3  # two pin replacements
 
 
-def test_edits_since_returns_exact_slice():
-    nl = diamond()
-    v0 = nl.version
-    assert list(nl.edits_since(v0)) == []          # empty delta, not None
-    assert nl.edits_since(v0)is not None
+def test_change_record_names_touched_gates():
+    nl = diamond().copy()
     nl.set_gate_type(nl.index_of("g1"), GateType.NOR)
     nl.replace_fanin_pin(nl.index_of("g3"), 0, nl.index_of("g2"))
-    delta = nl.edits_since(v0)
-    assert isinstance(delta, NetlistDelta)
-    assert [e.kind for e in delta] == ["type_changed", "pin_replaced"]
-    assert delta.touched_gates() == {nl.index_of("g1"), nl.index_of("g3")}
-    assert delta.connectivity_changed()
-    # a later snapshot sees only the tail
-    mid = nl.version
-    nl.set_outputs([nl.index_of("g1")])
-    tail = nl.edits_since(mid)
-    assert [e.kind for e in tail] == ["outputs_set"]
-    assert tail.edits[0].old == (nl.index_of("g3"),)
-    assert tail.touched_gates() == set()
-    assert tail.connectivity_changed()             # the output list moved
+    assert nl.touched == {nl.index_of("g1"), nl.index_of("g3")}
+    assert nl.rewired
+    assert nl.version == 2
+    # an output-list edit touches no gate but rewires
+    dup = diamond().copy()
+    dup.set_outputs([dup.index_of("g1")])
+    assert dup.touched == set()
+    assert dup.rewired
+    assert dup.version == 1
 
 
-def test_edits_since_none_after_dirty_and_for_bogus_versions():
+def test_change_record_unknown_after_dirty():
     nl = diamond()
-    v0 = nl.version
-    nl._dirty()
-    assert nl.edits_since(v0) is None              # full invalidation
-    assert list(nl.edits_since(nl.version)) == []  # new snapshot fine
-    assert nl.edits_since(nl.version + 5) is None  # future version
+    assert nl.touched is None                      # not a copy
+    dup = nl.copy()
+    dup.set_gate_type(dup.index_of("g1"), GateType.NOR)
+    v = dup.version
+    dup._dirty()                                   # full invalidation
+    assert dup.touched is None
+    assert dup.version == v + 1
+    dup.set_gate_type(dup.index_of("g2"), GateType.NOR)
+    assert dup.touched is None                     # stays unknown
 
 
-def test_journal_is_bounded():
-    nl = Netlist("big")
-    a = nl.add_input("a")
-    v0 = nl.version
-    for i in range(JOURNAL_CAP + 10):
-        nl.add_gate(f"g{i}", GateType.BUF, [a])
-    assert len(nl._journal) <= JOURNAL_CAP
-    assert nl.edits_since(v0) is None              # fell off the window
-    recent = nl.edits_since(nl.version - 5)
-    assert recent is not None and len(recent) == 5
-
-
-def test_copy_starts_fresh_journal():
+def test_copy_starts_empty_change_record():
     nl = diamond()
     nl.set_gate_type(nl.index_of("g1"), GateType.NOR)
     dup = nl.copy()
     assert dup.version == 0
-    assert list(dup.edits_since(0)) == []
+    assert dup.touched == set() and not dup.rewired
     dup.replace_fanin_pin(dup.index_of("g3"), 0, dup.index_of("g2"))
-    assert len(dup.edits_since(0)) == 1
+    assert dup.version == 1
+    assert dup.touched == {dup.index_of("g3")}
+    assert nl.touched is None                      # the original is apart
 
 
 def test_compound_mutators_decompose_into_primitives():
-    nl = diamond()
-    v0 = nl.version
+    nl = diamond().copy()
     a = nl.index_of("a")
     inv = nl.insert_gate_on_stem(a, GateType.NOT)
-    kinds = [e.kind for e in nl.edits_since(v0)]
-    assert kinds[0] == "gate_added"
-    assert kinds.count("pin_replaced") == 2        # g1 and g2 rewired
-    assert "outputs_set" not in kinds              # a was not a PO
-    delta = nl.edits_since(v0)
-    assert inv in delta.touched_gates()
-    assert {e.old for e in delta if e.kind == "pin_replaced"} == {a}
-    assert delta.connectivity_changed()
+    # one gate added plus one pin replacement each for g1 and g2; a was
+    # not a PO, so the output list is untouched
+    assert nl.version == 3
+    assert nl.touched == {inv, nl.index_of("g1"), nl.index_of("g2")}
+    assert nl.rewired
+    assert nl.outputs == [nl.index_of("g3")]
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +114,6 @@ def test_noop_set_fanin_and_outputs_keep_version():
     nl.set_fanin(g3, list(nl.gates[g3].fanin))
     nl.set_outputs(list(nl.outputs))
     assert nl.version == v
-    assert list(nl.edits_since(v)) == []
 
 
 # ----------------------------------------------------------------------
@@ -212,10 +194,10 @@ def test_matrix_cut_type_change_falls_back_to_full_invalidate():
     ff = nl.add_gate("ff", GateType.DFF, [a])
     g = nl.add_gate("g", GateType.BUF, [ff])
     nl.set_outputs([g])
+    nl = nl.copy()
     before = _warm(nl)
-    v = nl.version
     nl.set_gate_type(ff, GateType.NOT)             # DFF -> comb: cut edit
-    assert nl.edits_since(v) is None               # journal reset
+    assert nl.touched is None                      # record unknown
     assert nl._fanouts is None and nl._topo is None
     assert nl._facts is None
     assert nl.fanouts() is not before["fanouts"]
@@ -254,11 +236,10 @@ def test_cycle_creating_edge_raises_lazily():
 
 
 def test_delta_accessors_on_handwritten_edits():
-    delta = NetlistDelta((
-        NetlistEdit("type_changed", gate=3, old=GateType.AND,
-                    new=GateType.OR),
-    ))
-    assert not delta.connectivity_changed()
-    assert delta.touched_gates() == {3}
-    assert len(delta) == 1 and bool(delta)
-    assert not NetlistDelta(())
+    # A comb-to-comb type change touches its gate and no edge.
+    nl = diamond().copy()
+    g1 = nl.index_of("g1")
+    nl.set_gate_type(g1, GateType.OR)
+    assert nl.touched == {g1}
+    assert not nl.rewired
+    assert nl.version == 1

@@ -1,7 +1,7 @@
 """Incremental facts warming inside the diagnosis engine.
 
 With ``static_prescreen`` on, the engine warms every expandable child
-node's dataflow-facts bundle from its parent's via the edit journal
+node's dataflow-facts bundle from its parent's via its change record
 instead of recomputing at the child's pre-screen.  Every warm repair is
 exact, so the *only* observable difference from a scratch run
 (:func:`~tests.diagnose.fakes.scratch_facts`) must be the

@@ -199,16 +199,47 @@ def whole_netlist_imply(podem, pi_values, fault):
     return good, faulty
 
 
+def whole_netlist_frontier(podem, good, faulty, fault, line):
+    """Reference D-frontier: every X-output gate of the whole netlist,
+    in topological order, with a D on some input (the branch fault's D
+    only in its own pin's view)."""
+    frontier = []
+    for idx in podem.netlist.topo_order():
+        gate = podem.netlist.gates[idx]
+        if not gate.fanin or gate.gtype is GateType.INPUT:
+            continue
+        if good[idx] is not None and faulty[idx] is not None:
+            continue
+        for pin, src in enumerate(gate.fanin):
+            faulty_in = faulty[src]
+            if not line.is_stem and (idx, pin) == (line.sink, line.pin):
+                faulty_in = fault.value
+            if None not in (good[src], faulty_in) \
+                    and good[src] != faulty_in:
+                frontier.append(idx)
+                break
+    return frontier
+
+
 class CheckedPodem(Podem):
-    """Compares every cone-limited implication with the reference."""
+    """Compares every cone-limited implication and every cone-limited
+    D-frontier with the whole-netlist reference."""
 
     checks = 0
+    frontier_checks = 0
 
     def _imply(self, pi_values, fault, good, faulty, order):
         super()._imply(pi_values, fault, good, faulty, order)
         assert (good, faulty) == whole_netlist_imply(self, pi_values,
                                                      fault)
         self.checks += 1
+
+    def _d_frontier(self, good, faulty, fault, line):
+        frontier = super()._d_frontier(good, faulty, fault, line)
+        assert frontier == whole_netlist_frontier(self, good, faulty,
+                                                  fault, line)
+        self.frontier_checks += 1
+        return frontier
 
 
 @pytest.mark.parametrize("guide", [False, True])
@@ -219,7 +250,8 @@ class CheckedPodem(Podem):
 def test_incremental_implication_matches_whole_netlist(
         make, backtracks_expected, guide):
     """After every decision and backtrack, re-evaluating the changed
-    PIs' cones gives what simulating the whole netlist gives."""
+    PIs' cones gives what simulating the whole netlist gives, and the
+    fault cone's D-frontier is the whole netlist's."""
     circuit = make()
     table = LineTable(circuit)
     podem = CheckedPodem(circuit, table, guide=guide)
@@ -229,4 +261,5 @@ def test_incremental_implication_matches_whole_netlist(
         implications += stats.implications
         backtracks += stats.backtracks
     assert podem.checks == implications > 0
+    assert podem.frontier_checks > 0
     assert (backtracks > 0) == backtracks_expected
