@@ -8,9 +8,10 @@ finite lattice attached to every signal.  This module provides:
   over the strongly-connected-component condensation of the netlist —
   forward (fanin-to-fanout) or backward (fanout-to-fanin) — and iterates
   chaotically inside each non-trivial SCC until stable, over the whole
-  netlist or re-solving one region of it.  The engine never calls
-  :meth:`Netlist.topo_order`, so it is safe on netlists with
-  combinational cycles (the lint rules analyze broken circuits too);
+  netlist or re-solving one region of it.  The engine never computes
+  a topological order, so it is safe on netlists with combinational
+  cycles (the lint rules analyze broken circuits too); a region of a
+  netlist that already caches one is swept in that order instead;
 * four concrete analyses, packaged as :class:`NetlistFacts`:
 
   1. **ternary constant propagation** — Kleene 0/1/X values seeded from
@@ -204,10 +205,14 @@ def run_dataflow(netlist: Netlist, domain: DataflowDomain,
     With ``region``, only those gates are re-solved, in place in
     ``values``, which must already hold the fixed point outside the
     region; the region must hold every gate that depends on one of its
-    members, so a cycle lies wholly inside or outside it.  The region
-    restarts from ``domain.start`` and is scheduled over its own SCC
-    condensation, which orders it exactly as the whole netlist's does;
-    a whole-netlist run is the region of every gate.
+    members, so a cycle lies wholly inside or outside it.  When the
+    netlist has a cached topological order it is acyclic, and the
+    region is swept once in rank order (reversed for a backward
+    domain): every dependency is final before its dependent's one
+    transfer.  Otherwise the region restarts from ``domain.start`` and
+    is scheduled over its own SCC condensation, which orders it exactly
+    as the whole netlist's does; a whole-netlist run is the region of
+    every gate.
 
     Scheduling: the SCC condensation of the dependency graph is
     processed dependencies-first.  Acyclic components need exactly one
@@ -217,6 +222,15 @@ def run_dataflow(netlist: Netlist, domain: DataflowDomain,
     of a cyclic SCC is re-evaluated at most ``height * |SCC|`` times.
     """
     gates = netlist.gates
+    if region is not None and netlist._topo is not None:
+        # A cached order certifies an acyclic netlist: its ranks order
+        # the region dependencies-first, with no condensation.
+        pos = netlist.topo_positions()
+        order = sorted(region, key=pos.__getitem__,
+                       reverse=domain.direction == "backward")
+        for i in order:
+            values[i] = domain.transfer(gates[i], values)
+        return values
     members, deps = _dependency_edges(netlist, domain.direction, region)
     if values is None:
         values = [domain.start(g) for g in gates]
@@ -781,20 +795,19 @@ class NetlistFacts:
             self._observable = frozenset(self._reach_outputs())
         return self._observable
 
-    def _reach_outputs(self, removed: int = -1) -> set:
-        """Signals with a combinational path to a primary output that
-        avoids the gate ``removed`` (DFF fanin edges are not followed)."""
+    def _reach_outputs(self) -> set:
+        """Signals with a combinational path to a primary output (DFF
+        fanin edges are not followed)."""
         gates = self.netlist.gates
         seen: set = set()
-        stack = [out for out in self.netlist.outputs if out != removed]
+        stack = list(self.netlist.outputs)
         while stack:
             node = stack.pop()
             if node in seen:
                 continue
             seen.add(node)
             if gates[node].gtype is not GateType.DFF:
-                stack.extend(src for src in gates[node].fanin
-                             if src != removed)
+                stack.extend(gates[node].fanin)
         return seen
 
     def observable(self, signal: int) -> bool:
@@ -885,9 +898,13 @@ class NetlistFacts:
                     sides.setdefault(d, set()).add(src)
         blocked: set = set()
         for d, srcs in sides.items():
-            # Everything in d's fanin cone is observable through d.
-            dominated = netlist.fanin_cone(d) - self._reach_outputs(d)
-            dominated.discard(d)
+            # d dominates the members of its fanin cone with no path to
+            # an output that avoids d.  Outside the cone nothing reaches
+            # d, so there that is plain observability.
+            cone = netlist.fanin_cone(d)
+            cone.discard(d)
+            dominated = cone - _reach_within(netlist, cone,
+                                             observable - {d})
             for src in srcs:
                 blocked |= dominated - netlist.fanin_cone(src)
         result = frozenset(blocked)
@@ -1105,7 +1122,8 @@ def warm_facts(netlist: Netlist, base: NetlistFacts) -> NetlistFacts:
       and, being unique, the new one; :func:`run_dataflow` re-descends
       the region from those boundary values.
     * Observability depends only on edges and the output list, so it is
-      copied unless ``netlist.rewired``.
+      copied unless ``netlist.rewired``, and otherwise re-derived only
+      where an edge change can reach (:func:`_warm_observable`).
     """
     fresh = NetlistFacts(netlist)
     if base._constants is not None:
@@ -1114,6 +1132,80 @@ def warm_facts(netlist: Netlist, base: NetlistFacts) -> NetlistFacts:
                      _fanout_closure(netlist, netlist.touched))
         fresh._constants = {i: v for i, v in enumerate(values)
                             if v is not None}
-    if base._observable is not None and not netlist.rewired:
-        fresh._observable = base._observable
+    if base._observable is not None:
+        fresh._observable = (_warm_observable(netlist, base)
+                             if netlist.rewired else base._observable)
     return fresh
+
+
+def _warm_observable(netlist: Netlist, base: NetlistFacts) -> frozenset:
+    """``netlist``'s observable set, from ``base``'s, for a copy of
+    ``base.netlist`` changed as ``netlist.touched`` records.
+
+    The changed edges are ``src -> g`` for each touched gate ``g`` and
+    each ``src`` in the symmetric difference of its old and new fanin;
+    an added gate counts as changed, and so does each gate whose output
+    status changed.  A signal reaches one of those only through its
+    fanin closure ``region``; a path from outside the region to an
+    output uses no changed edge, so the outside keeps ``base``'s
+    verdict, and :func:`_reach_within` re-derives the inside from it.
+    """
+    parent = base.netlist
+    old_gates = parent.gates
+    gates = netlist.gates
+    changed = set(parent.outputs).symmetric_difference(netlist.outputs)
+    for g in netlist.touched:
+        if g < len(old_gates):
+            changed.update(set(old_gates[g].fanin)
+                           .symmetric_difference(gates[g].fanin))
+        else:
+            changed.add(g)
+    region = set(changed)
+    stack = list(changed)
+    while stack:
+        gate = gates[stack.pop()]
+        if gate.gtype is GateType.DFF:
+            continue
+        for src in gate.fanin:
+            if src not in region:
+                region.add(src)
+                stack.append(src)
+    return (base._observable - region) | _reach_within(
+        netlist, region, base._observable)
+
+
+def _reach_within(netlist: Netlist, region: Set[int],
+                  observable: frozenset) -> set:
+    """The members of ``region`` with a combinational path to a primary
+    output, when ``region`` is closed under fanin (except through DFFs)
+    and every signal outside it is observable iff it is in
+    ``observable``.
+
+    A member's path ends at an output inside the region or leaves it
+    through a non-DFF consumer outside it, which must then be
+    observable; one backward search inside the region, from the members
+    where such a path starts, finds every observable member.
+    """
+    gates = netlist.gates
+    outputs = set(netlist.outputs)
+    fanouts = netlist.fanouts()
+    seen = set()
+    for signal in region:
+        if signal in outputs:
+            seen.add(signal)
+            continue
+        for consumer in fanouts[signal]:
+            if consumer not in region and consumer in observable \
+                    and gates[consumer].gtype is not GateType.DFF:
+                seen.add(signal)
+                break
+    stack = list(seen)
+    while stack:
+        gate = gates[stack.pop()]
+        if gate.gtype is GateType.DFF:
+            continue
+        for src in gate.fanin:
+            if src in region and src not in seen:
+                seen.add(src)
+                stack.append(src)
+    return seen

@@ -24,6 +24,7 @@ from ..circuit.netlist import Netlist
 from ..errors import InvariantViolation
 from ..sim.logicsim import simulate
 from ..sim.packing import popcount, tail_mask
+from .dataflow import NetlistFacts
 
 
 class InvariantChecker:
@@ -83,6 +84,26 @@ class InvariantChecker:
             raise InvariantViolation(
                 f"cached |Verr|={state.num_err} disagrees with err_mask "
                 f"popcount {popcount(state.err_mask)}")
+
+    # ------------------------------------------------------------------
+    def check_facts(self, netlist: Netlist) -> None:
+        """Every section a facts warm filled on ``netlist`` — the
+        constants and the observable set — equals a from-scratch
+        :class:`~repro.analyze.dataflow.NetlistFacts` of it."""
+        self.checks_run += 1
+        facts = netlist._facts
+        if not isinstance(facts, NetlistFacts) \
+                or facts.version != netlist.version:
+            return
+        scratch = NetlistFacts(netlist)
+        for label, warm, fresh in (
+                ("constants", facts._constants, scratch.constants),
+                ("observable set", facts._observable,
+                 scratch.observable_set)):
+            if warm is not None and warm != fresh():
+                raise InvariantViolation(
+                    f"warmed {label} of {netlist.name!r} differ from a "
+                    f"scratch recompute")
 
     # ------------------------------------------------------------------
     def check_theorem1(self, num_failing: int, num_errors: int) -> None:

@@ -46,6 +46,12 @@ class GateType(enum.Enum):
     XNOR = "XNOR"
     DFF = "DFF"
 
+    # Identity hashing at C speed: ``Enum.__hash__`` is Python code that
+    # hashes the member name, and the evaluators and path trace look
+    # gate types up in sets and dicts per gate.  Name hashes are
+    # randomized per process anyway, so no order depends on either.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GateType.{self.name}"
 

@@ -111,6 +111,18 @@ class LineTable:
         return None if idx is None else self.lines[idx]
 
     @property
+    def stem_of_gate(self) -> dict[int, int]:
+        """Gate index -> index of its stem line (read-only), for kernels
+        that look stems up per gate."""
+        return self._stem_of_gate
+
+    @property
+    def branch_of(self) -> dict[tuple[int, int], int]:
+        """``(sink, pin)`` -> index of its branch line (read-only);
+        single-fanout pins have no entry."""
+        return self._branch_of
+
+    @property
     def num_stems(self) -> int:
         return len(self._stem_of_gate)
 

@@ -664,15 +664,17 @@ class Netlist:
     def _rewire_consumers(self, old_src: int, new_src: int,
                           skip: int) -> None:
         """Point every consumer pin (and PO slot) of ``old_src`` at
-        ``new_src``, recording one ``pin_replaced`` per pin."""
-        for g in self.gates:
-            if g.index == skip:
+        ``new_src``, recording one ``pin_replaced`` per pin, sinks and
+        pins ascending."""
+        # A snapshot: each recorded edit patches the fanout rows.
+        for sink in sorted(set(self.fanouts()[old_src])):
+            if sink == skip:
                 continue
-            for pin, src in enumerate(g.fanin):
+            fanin = self.gates[sink].fanin
+            for pin, src in enumerate(fanin):
                 if src == old_src:
-                    g.fanin[pin] = new_src
-                    self._record("pin_replaced", g.index, old_src,
-                                 new_src)
+                    fanin[pin] = new_src
+                    self._record("pin_replaced", sink, old_src, new_src)
         if old_src in self.outputs:
             self.set_outputs(new_src if out == old_src else out
                              for out in self.outputs)

@@ -231,16 +231,21 @@ def screen_and_rank(state: DiagnosisState, lines: list,
     t1 = clock.now()
     # SA0 on a line complements the Verr bits where its driver is 1,
     # SA1 the rest: one popcount of the whole value matrix gives every
-    # count, and only corrections that reach the bound are built.
+    # count, and only corrections that reach the bound are built.  The
+    # bound rejects most lines, so it runs before the correctability
+    # check (a constant driver always reaches it for one polarity).
     ones = row_popcounts(state.values & state.err_mask).tolist()
+    num_err = state.num_err
+    table_lines = state.table.lines
     screened = []
     for line in lines:
-        if not is_correctable_line(state, line):
+        driver_ones = ones[table_lines[line].driver]
+        if driver_ones < bound and num_err - driver_ones < bound \
+                or not is_correctable_line(state, line):
             continue
-        driver_ones = ones[state.table[line].driver]
         for kind, complemented in (
                 (CorrectionKind.STUCK_AT_0, driver_ones),
-                (CorrectionKind.STUCK_AT_1, state.num_err - driver_ones)):
+                (CorrectionKind.STUCK_AT_1, num_err - driver_ones)):
             if complemented >= bound:
                 corr = Correction(line, kind)
                 screened.append((screen_verr(state, corr, bound), corr))
@@ -366,6 +371,8 @@ class _ExactSearch:
                     # warm its facts from the parent's before it does.
                     warm_child_facts(state.netlist, child_state.netlist,
                                      self.stats)
+                    if self.invariants:
+                        self.invariants.check_facts(child_state.netlist)
                 self.explore(child_state, child_applied, new_keys)
 
     def _check_budget(self) -> None:

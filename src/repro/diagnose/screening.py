@@ -85,10 +85,11 @@ def prescreen_suspects(state: DiagnosisState, lines,
     facts = netlist_facts(state.netlist)
     observable = facts.observable_set()
     blocked = facts.blocked_signals(deep=deep)
+    table_lines = state.table.lines
     kept = []
     dropped = 0
     for line_index in lines:
-        driver = state.table[line_index].driver
+        driver = table_lines[line_index].driver
         if driver not in observable or driver in blocked:
             dropped += 1
         else:

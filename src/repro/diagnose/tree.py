@@ -170,6 +170,8 @@ class DecisionTree:
             # Only children that may expand (and hence pre-screen) are
             # worth warming; frontier nodes never read their facts.
             warm_child_facts(state.netlist, child_netlist, self.stats)
+            if self.invariants:
+                self.invariants.check_facts(child_netlist)
         child_state = state.child(child_netlist, sc.correction,
                                   sc.new_words)
         if self.invariants:

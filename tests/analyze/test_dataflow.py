@@ -414,6 +414,43 @@ def test_region_resolve_after_edits_equals_full_run(name):
         assert values == run_dataflow(child, TernaryConstants()), trial
 
 
+@pytest.mark.parametrize("name", sorted(REGION_CASES))
+def test_region_schedule_follows_a_cached_order(name, monkeypatch):
+    """A netlist with a cached topological order is acyclic: a region
+    re-solve sweeps it in rank order, forward and backward, with no SCC
+    pass, and still reaches the whole run's fixed point.  A cyclic
+    netlist has no order and keeps the condensation."""
+    from repro.analyze import dataflow
+    nl = REGION_CASES[name]()
+    acyclic = not cycles(nl)
+    if acyclic:
+        nl.topo_order()
+    full = run_dataflow(nl, TernaryConstants())
+    dominators = dataflow._Dominators(nl,
+                                      NetlistFacts(nl).observable_set())
+    full_dom = run_dataflow(nl, dominators)
+    passes = []
+    real = dataflow.strongly_connected_components
+    monkeypatch.setattr(dataflow, "strongly_connected_components",
+                        lambda *args: passes.append(1) or real(*args))
+    rng = random.Random(name)
+    for _ in range(8):
+        seeds = rng.sample(range(len(nl.gates)), rng.randint(1, 3))
+        region = forward_region(nl, seeds)
+        # Wrong inside the region: a constant where X belongs and X
+        # where a constant does.
+        values = [(0 if full[g] is None else None) if g in region
+                  else full[g] for g in range(len(nl.gates))]
+        run_dataflow(nl, TernaryConstants(), values, region)
+        assert values == full, sorted(region)
+        region = set().union(*(nl.fanin_cone(s) for s in seeds))
+        values = [0 if g in region else full_dom[g]
+                  for g in range(len(nl.gates))]
+        run_dataflow(nl, dominators, values, region)
+        assert values == full_dom, sorted(region)
+    assert bool(passes) != acyclic
+
+
 def test_region_resolve_through_a_whole_cycle():
     """Turning the loop's deciding constant to 1 leaves the loop free:
     its stale 0s are a fixed point too, so only the re-descent from

@@ -10,7 +10,9 @@ computed from scratch on the child.  Each child is corrected once more,
 so the warm also runs from a parent that carries tied constants.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analyze.dataflow import NetlistFacts, netlist_facts, warm_facts
 from repro.circuit import LineTable, generators
@@ -24,6 +26,7 @@ from repro.faults.models import (STUCK_AT_KINDS, Correction,
                                  CorrectionKind, apply_correction)
 from repro.sim import PatternSet
 from repro.sim.logicsim import output_rows, simulate
+from repro.sim.packing import num_words
 
 #: Design-error corrections sampled per kind and circuit.
 PER_KIND = 6
@@ -186,3 +189,66 @@ def test_warm_child_facts_counts_each_correction_kind():
         warm_child_facts(parent, child, stats)
         assert (stats.facts_reused, stats.facts_recomputed,
                 stats.delta_edits) == (0, 1, 0), kind
+
+
+# ----------------------------------------------------------------------
+# local observability: re-derived only where the rewiring can reach
+# ----------------------------------------------------------------------
+def random_state(netlist, seed):
+    """A state against random reference responses, so every line has
+    failing vectors and the design-error vocabulary has sources."""
+    patterns = PatternSet.random(netlist.num_inputs, 64, seed=seed)
+    rng = np.random.default_rng(seed)
+    reference = rng.integers(0, 2**63, size=(netlist.num_outputs,
+                                             num_words(64)),
+                             dtype=np.uint64)
+    return DiagnosisState(netlist, patterns, reference)
+
+
+def probe_corrections(state, draw):
+    """A stem tie; a branch tie that leaves its driver one fanout; a
+    branch tie on a stem that drives a primary output; one design-error
+    correction of each kind the vocabulary offers."""
+    netlist, table = state.netlist, state.table
+    fanouts = netlist.fanouts()
+    branches = [line for line in table if not line.is_stem]
+    pools = (
+        [line.index for line in table if line.is_stem],
+        [line.index for line in branches if len(fanouts[line.driver]) == 2],
+        [line.index for line in branches if line.driver in netlist.outputs],
+    )
+    picks = [Correction(draw(st.sampled_from(pool)),
+                        draw(st.sampled_from(STUCK_AT_KINDS)))
+             for pool in pools if pool]
+    config = DiagnosisConfig(mode=Mode.DESIGN_ERROR, exact=False)
+    by_kind = {}
+    for line in range(len(table)):
+        for corr in design_error_corrections(state, line, config)[0]:
+            by_kind.setdefault(corr.kind, []).append(corr)
+    picks += [draw(st.sampled_from(by_kind[kind]))
+              for kind in sorted(by_kind, key=lambda k: k.value)]
+    return picks
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_local_observability_equals_scratch(seed, data):
+    """Every warm of a ``random_dag`` child re-derives exactly the
+    observable set and the constants a scratch bundle computes."""
+    netlist = generators.random_dag(num_inputs=6, num_gates=30,
+                                    num_outputs=3, seed=seed)
+    fanouts = netlist.fanouts()
+    # A primary output that also has branches.
+    stem = max(g.index for g in netlist.gates if len(fanouts[g.index]) > 1)
+    if stem not in netlist.outputs:
+        netlist.set_outputs(netlist.outputs + [stem])
+    state = random_state(netlist, seed)
+    parent_facts = prescreened(netlist)
+    for corr in probe_corrections(state, data.draw):
+        child = netlist.copy()
+        apply_correction(child, state.table, corr)
+        warm = warm_facts(child, parent_facts)
+        scratch = NetlistFacts(child)
+        context = corr.describe(netlist, state.table)
+        assert warm._observable == scratch._reach_outputs(), context
+        assert warm._constants == scratch.constants(), context

@@ -6,8 +6,11 @@ import pytest
 from repro import (DiagnosisConfig, IncrementalDiagnoser, Mode,
                    inject_stuck_at_faults, random_patterns)
 from repro.analyze import InvariantChecker
+from repro.analyze.dataflow import netlist_facts
 from repro.circuit import generators
 from repro.diagnose.bitlists import DiagnosisState
+from repro.diagnose.report import EngineStats
+from repro.diagnose.tree import warm_child_facts
 from repro.errors import InvariantViolation
 from repro.faults.models import (Correction, CorrectionKind,
                                  apply_correction, corrected_line_words)
@@ -144,3 +147,68 @@ def test_tree_traversal_with_invariants():
     engine = IncrementalDiagnoser(workload.impl, spec, patterns, config)
     result = engine.run()
     assert result.found or result.solutions == []
+
+
+def warmed_child(state):
+    """A stem tie on a copy of ``state``'s netlist, its facts warmed
+    from the parent's pre-screened bundle."""
+    parent = state.netlist
+    netlist_facts(parent).blocked_signals()
+    child = parent.copy()
+    apply_correction(child, state.table,
+                     Correction(0, CorrectionKind.STUCK_AT_0))
+    stats = EngineStats()
+    warm_child_facts(parent, child, stats)
+    assert stats.facts_reused == 1
+    return child
+
+
+@pytest.mark.parametrize("section, label", [
+    ("_constants", "constants"), ("_observable", "observable set")])
+def test_facts_check_passes_a_warm_and_catches_a_stale_section(section,
+                                                              label):
+    state = make_state()
+    child = warmed_child(state)
+    checker = InvariantChecker()
+    checker.check_facts(child)
+    assert checker.checks_run == 1
+    # The parent's section predates the tie's constant gate.
+    setattr(child._facts, section,
+            getattr(netlist_facts(state.netlist), section))
+    with pytest.raises(InvariantViolation, match=label):
+        checker.check_facts(child)
+
+
+def test_facts_check_skips_lazy_and_stale_bundles():
+    state = make_state()
+    child = warmed_child(state)
+    child._facts._observable = frozenset()   # wrong, but out of date:
+    child.set_outputs(child.outputs[::-1])   # the bundle is not read
+    InvariantChecker().check_facts(child)
+    fresh = state.netlist.copy()
+    netlist_facts(fresh)                      # nothing materialized
+    InvariantChecker().check_facts(fresh)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_engine_checks_every_warm(monkeypatch, exact):
+    """With the checker on, both searches check the facts of every
+    child they warm."""
+    checked = []
+    original = InvariantChecker.check_facts
+
+    def spy(self, netlist):
+        checked.append(netlist)
+        original(self, netlist)
+
+    monkeypatch.setattr(InvariantChecker, "check_facts", spy)
+    spec = generators.ripple_carry_adder(4)
+    workload = inject_stuck_at_faults(spec, count=2, seed=42)
+    patterns = random_patterns(spec, 512, seed=1)
+    config = DiagnosisConfig(mode=Mode.STUCK_AT, exact=exact,
+                             max_errors=2, check_invariants=True)
+    result = IncrementalDiagnoser(workload.impl, spec, patterns,
+                                  config).run()
+    warms = result.stats.facts_reused + result.stats.facts_recomputed
+    assert warms > 0
+    assert len(checked) == warms

@@ -18,6 +18,7 @@ from repro.diagnose import DiagnosisConfig, DiagnosisState, Mode
 from repro.diagnose.candidates import (is_correctable_line,
                                        stuck_at_corrections)
 from repro.diagnose.engine import fast_stuck_at_child, screen_and_rank
+from repro.diagnose.pathtrace import marked_lines, path_trace_counts
 from repro.diagnose.report import EngineStats
 from repro.diagnose.screening import (predicted_words, screen_verr,
                                       theorem1_bound)
@@ -131,6 +132,31 @@ def test_matrix_screen_matches_per_correction_loop(name, safety):
     assert admitted > 0
     assert verdicts == {False, True}
     assert kinds == {"stem", "branch", "constant"}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_matrix_screen_drops_marked_constant_lines(name):
+    """On a tied child the path-traced suspects include lines its own
+    constant drives.  A constant driver always reaches the bound for
+    one polarity, so the screen must still drop those lines as not
+    correctable, as the reference loop does."""
+    config = DiagnosisConfig(mode=Mode.STUCK_AT, exact=True)
+    constant_lines = 0
+    for seed in range(6):
+        for state in node_states(name, seed)[1:]:
+            lines = marked_lines(path_trace_counts(state, 64, seed))
+            tied = [line for line in lines
+                    if not is_correctable_line(state, line)]
+            constant_lines += len(tied)
+            for remaining in (1, 2):
+                got = screen_and_rank(state, lines, frozenset(),
+                                      remaining, config, EngineStats())
+                assert [entry[:2] for entry in got] == \
+                    reference_screen_and_rank(state, lines, remaining,
+                                              config), (name, seed)
+                assert not {corr.line for _c, corr, _f in got} \
+                    & set(tied)
+    assert constant_lines > 0
 
 
 def test_leaf_rule_matches_the_built_child():

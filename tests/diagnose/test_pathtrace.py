@@ -175,3 +175,87 @@ def test_vector_marking_matches_the_oracle(c17):
         for vector in range(65):
             assert path_trace_vector(state, vector) \
                 == dfs_path_trace_vector(state, vector)
+
+
+# ----------------------------------------------------------------------
+# the kernel's gate-type dispatch, on every traced type and on children
+# ----------------------------------------------------------------------
+KERNEL_NBITS = (1, 63, 64, 65)
+UNCONTROLLED = {GateType.XOR, GateType.XNOR, GateType.BUF, GateType.NOT}
+
+
+@pytest.mark.parametrize("nbits", KERNEL_NBITS)
+@pytest.mark.parametrize("seed", range(3))
+def test_counts_match_the_oracle_on_every_gate_type(nbits, seed):
+    """``random_dag`` netlists hold XOR/XNOR/BUF/NOT gates next to the
+    controlling ones; every count matches the per-vector oracle."""
+    netlist = generators.random_dag(6, 60, 4, seed=seed)
+    assert UNCONTROLLED <= {g.gtype for g in netlist.gates}
+    state = random_spec_state(netlist, nbits, seed=seed + nbits)
+    for max_vectors in (1, 24, 65):
+        assert np.array_equal(
+            path_trace_counts(state, max_vectors, seed),
+            dfs_path_trace_counts(state, max_vectors, seed))
+
+
+def tied_children(netlist):
+    """A stem tie on the deepest multi-fanout gate and a branch tie on
+    one of its consumers: constant gates enter the netlist, and the
+    stem tie detaches the gate's private fanin cone."""
+    fanouts = netlist.fanouts()
+    stem = max(g.index for g in netlist.gates
+               if len(set(fanouts[g.index])) > 1)
+    stem_child = netlist.copy()
+    stem_child.tie_stem_to_constant(stem, 0)
+    sink = fanouts[stem][0]
+    branch_child = netlist.copy()
+    branch_child.tie_branch_to_constant(
+        sink, netlist.gates[sink].fanin.index(stem), 1)
+    return stem_child, branch_child
+
+
+@pytest.mark.parametrize("nbits", KERNEL_NBITS)
+@pytest.mark.parametrize("seed", range(3))
+def test_counts_match_the_oracle_on_tied_children(nbits, seed):
+    netlist = generators.random_dag(6, 60, 4, seed=seed)
+    detached = 0
+    for child in tied_children(netlist):
+        assert {GateType.CONST0, GateType.CONST1} \
+            & {g.gtype for g in child.gates}
+        detached += len(child.gates) - len(child.live_set()
+                                           | set(child.inputs))
+        state = random_spec_state(child, nbits, seed=seed * 5 + nbits)
+        for max_vectors in (1, 24, 65):
+            assert np.array_equal(
+                path_trace_counts(state, max_vectors, seed),
+                dfs_path_trace_counts(state, max_vectors, seed))
+    assert detached
+
+
+def reference_marked_lines(counts):
+    """Count descending, then index ascending."""
+    return sorted((i for i in range(len(counts)) if counts[i]),
+                  key=lambda i: (-int(counts[i]), i))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_marked_lines_matches_the_sorted_reference(seed):
+    rng = np.random.default_rng(seed)
+    for size in (1, 7, 200):
+        counts = rng.integers(0, 4, size=size).astype(np.int64)
+        got = marked_lines(counts)
+        assert got == reference_marked_lines(counts)
+        assert all(type(i) is int for i in got)
+    assert marked_lines(np.zeros(9, dtype=np.int64)) == []
+
+
+def test_counts_with_the_fallback_popcount(monkeypatch):
+    """Interpreters without ``int.bit_count`` count binary digits; the
+    kernel gives the same counts either way."""
+    from repro.diagnose import pathtrace
+    state = random_spec_state(generators.random_dag(6, 40, 4, seed=9),
+                              130, seed=2)
+    fast = path_trace_counts(state, 100, 0)
+    monkeypatch.setattr(pathtrace, "_popcount", pathtrace._bin_popcount)
+    assert np.array_equal(path_trace_counts(state, 100, 0), fast)
+    assert np.array_equal(fast, dfs_path_trace_counts(state, 100, 0))
