@@ -123,9 +123,10 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def check_screen(self, state, screened) -> None:
         """Every screened correction's outcome, measured in a
-        slot-packed batch, equals a one-row propagate of its line words.
+        slot-packed sweep shared with corrections on other lines,
+        equals a one-row propagate of its line words.
 
-        ``screened`` holds the survivors of
+        ``screened`` holds the survivors of one node's
         :func:`~repro.diagnose.screening.screen_corrections`.
         """
         self.checks_run += 1

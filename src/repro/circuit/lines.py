@@ -122,13 +122,5 @@ class LineTable:
         single-fanout pins have no entry."""
         return self._branch_of
 
-    @property
-    def num_stems(self) -> int:
-        return len(self._stem_of_gate)
-
-    @property
-    def num_branches(self) -> int:
-        return len(self._branch_of)
-
     def describe(self, index: int) -> str:
         return self.lines[index].describe(self.netlist)

@@ -10,7 +10,7 @@ from .pathtrace import (derive_seed, marked_lines, path_trace_counts,
 from .potential import LinePotential, correcting_potentials, rank_lines
 from .screening import (ScreenedCorrection, screen_corrections,
                         screen_verr, theorem1_bound)
-from .candidates import (corrections_for_line, design_error_corrections,
+from .candidates import (corrections_for_line, node_vocabulary,
                          stuck_at_corrections)
 from .ranking import rank_corrections, rank_value
 from .tree import DecisionTree, Node, round_visit_order
@@ -49,7 +49,7 @@ __all__ = [
     "LinePotential", "correcting_potentials", "rank_lines",
     "ScreenedCorrection", "screen_corrections", "screen_verr",
     "theorem1_bound",
-    "corrections_for_line", "design_error_corrections",
+    "corrections_for_line", "node_vocabulary",
     "stuck_at_corrections", "enumerate_corrections",
     "rank_corrections", "rank_value",
     "DecisionTree", "Node", "round_visit_order",

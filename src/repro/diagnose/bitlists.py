@@ -29,6 +29,15 @@ from ..sim.logicsim import output_rows, propagate, simulate
 from ..sim.packing import PatternSet, popcount, row_popcounts, tail_mask
 
 
+#: Most slots one multi-site sweep (:meth:`DiagnosisState.sweep_outcomes`)
+#: packs, for heuristic 1's suspects and the node screen's corrections
+#: alike.  Every big-int row of a sweep is this many slots wide,
+#: including each partly forced site's forced row, so the per-sweep
+#: memory grows with its square; wider packing raised peak RSS without
+#: a matching gain in time.
+SWEEP_SLOTS = 32
+
+
 def reference_outputs(netlist: Netlist,
                       patterns: PatternSet) -> np.ndarray:
     """Packed output rows of a netlist over a pattern set.
@@ -143,8 +152,8 @@ class DiagnosisState:
         return DiagnosisState(child_netlist, self.patterns, self.spec_out,
                               values=values)
 
-    def propagate_line_override(self, line_index,
-                                new_words: np.ndarray) -> dict:
+    def propagate_line_override(self, line_index, new_words: np.ndarray,
+                                base_ints: dict | None = None) -> dict:
         """Push hypothetical line values through their fanout cones.
 
         Stem lines override the whole signal, branch lines only the sink
@@ -152,13 +161,17 @@ class DiagnosisState:
         ``new_words``, or a sequence of k lines, one per slot of the
         ``(k, nwords)`` stack: slot *s* then forces only line *s*, and
         the other slots' lines run free in it (per-slot sites of
-        :func:`repro.sim.logicsim.propagate`).  Returns the changed-row
-        dict of that propagate.
+        :func:`repro.sim.logicsim.propagate`).  A single row always
+        uses the state's own baseline cache; ``base_ints`` is the
+        caller's cache for a stack, kept per slot count.  Returns the
+        changed-row dict of that propagate.
         """
+        if new_words.ndim == 1:
+            base_ints = self._base_ints
         if isinstance(line_index, (int, np.integer)):
             return propagate(self.netlist, self.values,
                              {self.table[line_index].site: new_words},
-                             base_ints=self._base_ints)
+                             base_ints=base_ints)
         overrides: dict = {}
         forced: dict = {}
         for slot, index in enumerate(line_index):
@@ -166,7 +179,7 @@ class DiagnosisState:
             overrides[site] = new_words
             forced.setdefault(site, []).append(slot)
         return propagate(self.netlist, self.values, overrides,
-                         forced_slots=forced)
+                         base_ints=base_ints, forced_slots=forced)
 
     def rectified_by(self, overrides: dict) -> bool:
         """True when forcing ``overrides`` (one row per site, the map
@@ -177,25 +190,27 @@ class DiagnosisState:
                             base_ints=self._base_ints)
         return not self._diff_after(changed, self.diff.copy()).any()
 
-    def outcome_of_override(self, line_index,
-                            new_words: np.ndarray
+    def outcome_of_override(self, line_index, new_words: np.ndarray,
+                            base_ints: dict | None = None
                             ) -> list[OverrideOutcome]:
         """Propagate candidate line values and summarize each one's
         effect on V.
 
         ``new_words`` is a ``(k, nwords)`` stack with one candidate
         value per slot, or a single ``(nwords,)`` row (one slot).
-        ``line_index`` is the line every slot overrides (heuristics 2
-        and 3: k corrections of one line), or a sequence of k lines,
-        slot *s* overriding only line *s* (heuristic 1: k suspects).
-        Either way the k overrides share one slot-packed propagate.
+        ``line_index`` is the line every slot overrides (k corrections
+        of one line), or a sequence of k lines, slot *s* overriding
+        only line *s* (k suspects, or k corrections on several lines).
+        Either way the k overrides share one slot-packed propagate
+        (``base_ints`` as for :meth:`propagate_line_override`).
         Returns one :class:`OverrideOutcome` per slot, in slot order.
         """
         if new_words.ndim == 2 and len(new_words) == 1:
             new_words = new_words[0]
             if not isinstance(line_index, (int, np.integer)):
                 line_index, = line_index
-        changed = self.propagate_line_override(line_index, new_words)
+        changed = self.propagate_line_override(line_index, new_words,
+                                               base_ints)
         if new_words.ndim == 1:
             # One slot: the 2-D summary, which is measurably cheaper
             # than a 3-D one with a unit axis on every per-leaf call.
@@ -220,6 +235,30 @@ class DiagnosisState:
         dirty = err_after.any(axis=1).tolist()
         return [OverrideOutcome(r, b, f, not d) for r, b, f, d
                 in zip(rectified, broken, fixed_pairs, dirty)]
+
+    def sweep_outcomes(self, lines: list,
+                       new_words: np.ndarray) -> list[OverrideOutcome]:
+        """:meth:`outcome_of_override` for slot *s* forcing ``lines[s]``
+        to row *s* of the ``(k, nwords)`` stack, over any k.
+
+        Consecutive slots share sweeps of at most :data:`SWEEP_SLOTS`;
+        a sweep whose slots all lie on one line forces that line in
+        every slot (the one-site path), any other forces each slot's
+        own line only.  Heuristic 1 (one suspect per slot) and the node
+        screen (one correction per slot) both measure through it.  The
+        sweeps share baseline conversions, one cache per slot count,
+        dropped when the call returns.
+        """
+        out: list[OverrideOutcome] = []
+        caches: dict[int, dict] = {}
+        for start in range(0, len(lines), SWEEP_SLOTS):
+            chunk = lines[start:start + SWEEP_SLOTS]
+            first = chunk[0]
+            site = first if chunk.count(first) == len(chunk) else chunk
+            out.extend(self.outcome_of_override(
+                site, new_words[start:start + SWEEP_SLOTS],
+                caches.setdefault(len(chunk), {})))
+        return out
 
     def _diff_after(self, changed: dict, diff_after: np.ndarray
                     ) -> np.ndarray:

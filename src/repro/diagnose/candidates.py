@@ -1,4 +1,4 @@
-"""Candidate-correction enumeration per line.
+"""Candidate-correction enumeration: the vocabulary of a decision-tree node.
 
 "Given an error location l that qualified, the algorithm exhaustively
 compiles a list of corrections from the design error or fault model"
@@ -20,7 +20,16 @@ Every correction comes with its predicted line words, which the screens
 of :mod:`repro.diagnose.screening` consume: a wire or inserted-gate
 correction's words are its row of the scoring sweep, and every other
 kind evaluates its gate once with
-:func:`~repro.faults.models.corrected_line_words`.
+:func:`~repro.faults.models.fields_line_words` (what
+:func:`~repro.faults.models.corrected_line_words` computes, from the
+correction's fields).
+
+A DEDC node builds the vocabulary of all its qualifying lines at once
+(:func:`node_vocabulary`): one ``(K, nwords)`` word stack with the
+corrections as plain field tuples, lines in potential order and each
+line's corrections in enumeration order.  The node screen
+(:func:`repro.diagnose.screening.screen_corrections`) rejects most of
+them on one popcount and builds a ``Correction`` only for a survivor.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from ..circuit.gatetypes import (CORE_UFUNC, GATE_CORE, GateType,
                                  REPLACEMENT_CLASSES, SOURCE_TYPES,
                                  eval_words)
 from ..faults.models import (Correction, CorrectionKind,
-                             corrected_line_words)
+                             fields_line_words)
 from ..sim.packing import const_row, row_popcounts
 from .bitlists import DiagnosisState
 from .config import DiagnosisConfig, Mode
@@ -135,20 +144,31 @@ def scored_sources(state: DiagnosisState, driver: int,
     return picked
 
 
-def _predict(state: DiagnosisState,
-             corrections: list[Correction]) -> np.ndarray:
-    """Predicted line words of corrections that take one gate
-    evaluation each, stacked (row *i* for correction *i*)."""
-    return np.stack([corrected_line_words(state.netlist, state.table,
-                                          corr, state.values)
-                     for corr in corrections])
+def _predict(state: DiagnosisState, fields: list[tuple]) -> np.ndarray:
+    """Predicted line words of corrections (as field tuples) that take
+    one gate evaluation each, stacked (row *i* for correction *i*)."""
+    netlist, table, values = state.netlist, state.table, state.values
+    return np.stack([fields_line_words(netlist, table, values, *entry)
+                     for entry in fields])
 
 
-def design_error_corrections(state: DiagnosisState, line_index: int,
-                             config: DiagnosisConfig
-                             ) -> tuple[list[Correction], np.ndarray]:
-    """Every Abadir-model correction applicable at a line, with the
-    ``(k, nwords)`` stack of the line words each one predicts.
+def _stuck_at_vocabulary(state: DiagnosisState, line_index: int,
+                         config: DiagnosisConfig, fields: list,
+                         blocks: list) -> None:
+    """Append the two stuck-at fault models on a line to ``fields`` and
+    their words to ``blocks``."""
+    models = [(line_index, CorrectionKind.STUCK_AT_0, None, None, None),
+              (line_index, CorrectionKind.STUCK_AT_1, None, None, None)]
+    fields.extend(models)
+    blocks.append(_predict(state, models))
+
+
+def _design_error_vocabulary(state: DiagnosisState, line_index: int,
+                             config: DiagnosisConfig, fields: list,
+                             blocks: list) -> None:
+    """Append every Abadir-model correction applicable at a line to
+    ``fields`` and the ``(k, nwords)`` stacks of their predicted line
+    words to ``blocks``.
 
     Inverter, gate-replacement, wire-removal and bypass corrections
     evaluate their gate once each; the words of wire-addition,
@@ -159,35 +179,37 @@ def design_error_corrections(state: DiagnosisState, line_index: int,
     line = state.table[line_index]
     driver_gate = netlist.gates[line.driver]
     # Inverter fixes apply to stems and branches alike.
-    corrections = [Correction(line_index, CorrectionKind.INSERT_INVERTER)]
+    fixed = [(line_index, CorrectionKind.INSERT_INVERTER, None, None, None)]
     if driver_gate.gtype is GateType.NOT:
-        corrections.append(Correction(line_index,
-                                      CorrectionKind.REMOVE_INVERTER))
+        fixed.append((line_index, CorrectionKind.REMOVE_INVERTER, None,
+                      None, None))
     if not line.is_stem or driver_gate.gtype in SOURCE_TYPES or \
             driver_gate.gtype is GateType.DFF:
-        return corrections, _predict(state, corrections)
+        fields.extend(fixed)
+        blocks.append(_predict(state, fixed))
+        return
     # Gate type replacement (same fanin count).
     n_in = len(driver_gate.fanin)
     for new_type in REPLACEMENT_CLASSES.get(driver_gate.gtype, ()):
         if new_type in (GateType.XOR, GateType.XNOR) and n_in > 4:
             continue  # implausibly wide parity gates
-        corrections.append(Correction(line_index,
-                                      CorrectionKind.GATE_REPLACE,
-                                      new_type=new_type))
+        fixed.append((line_index, CorrectionKind.GATE_REPLACE, new_type,
+                      None, None))
     # Wire removal (extra-input-wire error).
     if n_in >= 2:
-        for pin in range(n_in):
-            corrections.append(Correction(
-                line_index, CorrectionKind.REMOVE_INPUT_WIRE, pin=pin))
+        fixed.extend((line_index, CorrectionKind.REMOVE_INPUT_WIRE, None,
+                      pin, None) for pin in range(n_in))
         # Extra-gate error: the whole gate is spurious; consumers should
         # read one of its fanins directly.
-        for pin in range(n_in):
-            corrections.append(Correction(
-                line_index, CorrectionKind.BYPASS_GATE, pin=pin))
+        fixed.extend((line_index, CorrectionKind.BYPASS_GATE, None, pin,
+                      None) for pin in range(n_in))
+    fields.extend(fixed)
+    blocks.append(_predict(state, fixed))
     # Wire addition / replacement and gate insertion, with sources
-    # scored in one sweep over every signal.
+    # scored in one sweep over every signal.  ``kinds`` holds each
+    # sweep's (kind, new_type, pin).
     limit = config.wire_source_limit
-    sweeps, fields = [], []
+    sweeps, kinds = [], []
     if driver_gate.gtype in (GateType.BUF, GateType.NOT):
         # A unary gate may be a degraded multi-input gate; try restoring
         # each plausible identity along with the re-added wire.
@@ -198,17 +220,15 @@ def design_error_corrections(state: DiagnosisState, line_index: int,
         for promo in promotions:
             sweeps.append((*_rewired_core(state, line.driver, None, promo),
                            limit))
-            fields.append({"kind": CorrectionKind.ADD_INPUT_WIRE,
-                           "new_type": promo})
+            kinds.append((CorrectionKind.ADD_INPUT_WIRE, promo, None))
     else:
         sweeps.append((*_rewired_core(state, line.driver, None,
                                       driver_gate.gtype), limit))
-        fields.append({"kind": CorrectionKind.ADD_INPUT_WIRE})
+        kinds.append((CorrectionKind.ADD_INPUT_WIRE, None, None))
     for pin in range(n_in):
         sweeps.append((*_rewired_core(state, line.driver, pin,
                                       driver_gate.gtype), limit))
-        fields.append({"kind": CorrectionKind.REPLACE_INPUT_WIRE,
-                       "pin": pin})
+        kinds.append((CorrectionKind.REPLACE_INPUT_WIRE, None, pin))
     # Missing-gate error: insert a 2-input gate between this line and
     # its consumers, scored like an add-wire whose "retained fanin" is
     # the line itself.
@@ -216,24 +236,47 @@ def design_error_corrections(state: DiagnosisState, line_index: int,
         core, invert = GATE_CORE[promo]
         sweeps.append((core, invert, state.values[line.driver],
                        max(2, limit // 2)))
-        fields.append({"kind": CorrectionKind.INSERT_GATE,
-                       "new_type": promo})
-    blocks = [_predict(state, corrections)]
-    for (sources, rows), extra in zip(
-            scored_sources(state, line.driver, sweeps), fields):
-        corrections.extend(Correction(line_index, other_signal=src,
-                                      **extra) for src in sources)
+        kinds.append((CorrectionKind.INSERT_GATE, promo, None))
+    for (sources, rows), (kind, new_type, pin) in zip(
+            scored_sources(state, line.driver, sweeps), kinds):
+        fields.extend((line_index, kind, new_type, pin, src)
+                      for src in sources)
         blocks.append(rows)
-    return corrections, np.concatenate(blocks)
+
+
+def node_vocabulary(state: DiagnosisState, lines,
+                    config: DiagnosisConfig
+                    ) -> tuple[list[tuple], np.ndarray]:
+    """The correction vocabulary of every line of ``lines``, as one
+    stack: the corrections' field tuples ``(line, kind, new_type, pin,
+    other_signal)`` and the ``(K, nwords)`` stack of the line words each
+    one predicts (row *i* belongs to correction *i*).
+
+    Lines keep their given order, and each line's corrections keep the
+    vocabulary's order, so a node's stable-sorted ranking is the same
+    as one built line by line.  A correction stays a field tuple until
+    it survives the screen (``Correction(*fields)`` builds it):
+    most of a node's vocabulary fails heuristic 2 and never needs an
+    object.
+    """
+    fields: list[tuple] = []
+    blocks: list[np.ndarray] = []
+    add = (_stuck_at_vocabulary if config.mode is Mode.STUCK_AT
+           else _design_error_vocabulary)
+    for line_index in lines:
+        add(state, line_index, config, fields, blocks)
+    if not blocks:
+        return fields, np.empty((0, state.values.shape[1]),
+                                dtype=state.values.dtype)
+    return fields, np.concatenate(blocks)
 
 
 def corrections_for_line(state: DiagnosisState, line_index: int,
                          config: DiagnosisConfig
                          ) -> tuple[list[Correction], np.ndarray]:
-    """Mode dispatch: the correction vocabulary at one line, with the
-    ``(k, nwords)`` stack of the line words each correction predicts
-    (row *i* belongs to correction *i*)."""
-    if config.mode is Mode.STUCK_AT:
-        corrections = stuck_at_corrections(line_index)
-        return corrections, _predict(state, corrections)
-    return design_error_corrections(state, line_index, config)
+    """The correction vocabulary at one line (mode dispatch), as
+    :class:`~repro.faults.models.Correction` objects with the
+    ``(k, nwords)`` stack of the line words each one predicts (row *i*
+    belongs to correction *i*)."""
+    fields, words = node_vocabulary(state, [line_index], config)
+    return [Correction(*entry) for entry in fields], words

@@ -7,10 +7,13 @@ emulate the maximum effect any modification to this line can have on the
 circuit.  Once done, we count the number of erroneous primary outputs
 that are rectified and sort all lines according to these counts."
 
-The suspects are node-parallel: up to :data:`H1_SLOTS` of them share one
+The suspects are node-parallel: up to
+:data:`~repro.diagnose.bitlists.SWEEP_SLOTS` of them share one
 slot-packed ``propagate``, each forcing its own stem or pin in its own
 slot and running free in the others (per-slot sites of
-:func:`repro.sim.logicsim.propagate`).
+:func:`repro.sim.logicsim.propagate`).  The node screen of heuristics 2
+and 3 packs its corrections the same way
+(:meth:`~repro.diagnose.bitlists.DiagnosisState.sweep_outcomes`).
 """
 
 from __future__ import annotations
@@ -33,13 +36,6 @@ class LinePotential:
         return self.score >= h1
 
 
-#: Most suspect lines one heuristic-1 sweep packs.  Every big-int row
-#: of the sweep is this many slots wide, including each suspect's
-#: forced row, so the per-sweep memory grows with its square; wider
-#: packing raised peak RSS without a matching gain in time.
-H1_SLOTS = 32
-
-
 def correcting_potentials(state: DiagnosisState,
                           candidates) -> list[LinePotential]:
     """Heuristic 1 for each line of ``candidates``, in order.
@@ -48,8 +44,9 @@ def correcting_potentials(state: DiagnosisState,
     ``Verr`` bit-list); passing vectors are untouched, so the measured
     effect is purely "how many failures could *any* modification of
     this line possibly repair".  The flipped rows of all suspects are
-    built at once, and up to :data:`H1_SLOTS` suspects share one
-    slot-packed ``propagate``, slot *s* forcing only suspect *s*.
+    built at once, and up to :data:`~repro.diagnose.bitlists.SWEEP_SLOTS`
+    suspects share one slot-packed ``propagate``, slot *s* forcing only
+    suspect *s* (:meth:`DiagnosisState.sweep_outcomes`).
     """
     lines = list(candidates)
     if not lines:
@@ -57,16 +54,11 @@ def correcting_potentials(state: DiagnosisState,
     denom = state.num_err_pairs if state.num_err_pairs else 1
     drivers = [state.table[line].driver for line in lines]
     flips = state.values[drivers] ^ state.err_mask
-    out: list[LinePotential] = []
-    for start in range(0, len(lines), H1_SLOTS):
-        chunk = lines[start:start + H1_SLOTS]
-        outcomes = state.outcome_of_override(
-            chunk, flips[start:start + H1_SLOTS])
-        for line, outcome in zip(chunk, outcomes):
-            out.append(LinePotential(line, outcome.fixed_pairs,
-                                     outcome.rectified_vectors,
-                                     outcome.fixed_pairs / denom))
-    return out
+    return [LinePotential(line, outcome.fixed_pairs,
+                          outcome.rectified_vectors,
+                          outcome.fixed_pairs / denom)
+            for line, outcome in zip(lines,
+                                     state.sweep_outcomes(lines, flips))]
 
 
 def rank_lines(state: DiagnosisState, candidates,

@@ -19,11 +19,13 @@ before they get better (the paper's Fig. 1 reconvergence example).
 :func:`screen_corrections` measures the actual effect by bit-parallel
 propagation over the ``Vcorr`` bit-lists and rejects corrections whose
 kept-correct fraction falls below ``h3``.  Bits are vector-parallel as
-in the paper, and the corrections on one suspect line are
-candidate-parallel too: they share one slot-packed propagate.
+in the paper, and the corrections are candidate-parallel too: one call
+screens a whole decision-tree node, and the heuristic-2 survivors of
+all its lines share slot-packed propagates, each slot forcing its own
+line.
 
 The "single simulation step on the gate driving l" is not repeated
-here: the vocabulary (:func:`repro.diagnose.candidates.corrections_for_line`)
+here: the vocabulary (:func:`repro.diagnose.candidates.node_vocabulary`)
 hands every correction over with its predicted line words, most of
 them rows of the source-scoring sweep that picked the correction.
 Exact mode's one-correction screen (:func:`screen_verr`) still
@@ -34,8 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
 
 import numpy as np
 
@@ -157,59 +157,58 @@ def screen_verr(state: DiagnosisState, corr: Correction,
 def screen_corrections(state: DiagnosisState, corrections,
                        words: np.ndarray, required_bits: int,
                        h3: float) -> list[ScreenedCorrection]:
-    """Heuristics 2 and 3 over many corrections, one propagate per line.
+    """Heuristics 2 and 3 over a node's whole vocabulary.
 
-    ``words`` is the ``(k, nwords)`` stack of predicted line words, row
-    *i* for correction *i*, as
-    :func:`~repro.diagnose.candidates.corrections_for_line` returns it
-    (no correction is re-evaluated here).  Every correction on one line
-    overrides the same stem or ``(sink, pin)``, so all of them travel
-    the same fanout cone.  Each run of consecutive corrections on one
-    line is screened as a batch:
+    ``corrections`` holds :class:`~repro.faults.models.Correction`
+    objects or their field tuples ``(line, kind, new_type, pin,
+    other_signal)``, on any lines in any order; ``words`` is the
+    ``(k, nwords)`` stack of predicted line words, row *i* for
+    correction *i*, as
+    :func:`~repro.diagnose.candidates.node_vocabulary` returns it (no
+    correction is re-evaluated here).  One call screens every
+    correction of a decision-tree node:
 
     1. every heuristic-2 count (``Verr`` bits complemented) comes from
-       one row popcount of the run's words; counts below
-       ``max(required_bits, 1)`` are rejected, which also drops no-ops;
-    2. the survivors share one slot-packed propagate
-       (:meth:`DiagnosisState.outcome_of_override`), which gives each
-       one's rectified, broken and fixed-pair counts;
+       one row popcount of ``(words ^ line values) & err_mask``; counts
+       below ``max(required_bits, 1)`` are rejected, which also drops
+       no-ops;
+    2. the survivors of all lines, in order, share slot-packed
+       propagates of at most
+       :data:`~repro.diagnose.bitlists.SWEEP_SLOTS` slots, slot *s*
+       forcing only its own line
+       (:meth:`DiagnosisState.sweep_outcomes`), which give each one's
+       rectified, broken and fixed-pair counts;
     3. heuristic 3 rejects survivors whose kept-correct fraction falls
        below ``h3``; ``h3 <= 0`` disables it (the ablation's "no
        heuristic 3" and "no screening" schedules).
 
-    Survivors keep their input order and own their rows.
+    Survivors keep their input order and own their rows; a field tuple
+    becomes a ``Correction`` only when it survives.
     """
-    corrections = list(corrections)
-    survivors: list[ScreenedCorrection] = []
-    start = 0
-    for line, run in groupby(corrections, key=attrgetter("line")):
-        stop = start + sum(1 for _corr in run)
-        survivors.extend(_screen_line(state, line, corrections[start:stop],
-                                      words[start:stop], required_bits,
-                                      h3))
-        start = stop
-    return survivors
-
-
-def _screen_line(state: DiagnosisState, line: int, corrections: list,
-                 words: np.ndarray, required_bits: int,
-                 h3: float) -> list[ScreenedCorrection]:
-    """:func:`screen_corrections` for corrections all on ``line``."""
-    flips = row_popcounts((words ^ state.line_values(line))
+    lines = [corr[0] if corr.__class__ is tuple else corr.line
+             for corr in corrections]
+    if not lines:
+        return []
+    table_lines = state.table.lines
+    drivers = [table_lines[line].driver for line in lines]
+    flips = row_popcounts((words ^ state.values[drivers])
                           & state.err_mask).tolist()
     need = max(required_bits, 1)
     keep = [i for i, count in enumerate(flips) if count >= need]
     if not keep:
         return []
-    outcomes = state.outcome_of_override(line, words[keep])
+    outcomes = state.sweep_outcomes([lines[i] for i in keep], words[keep])
     survivors = []
     for i, outcome in zip(keep, outcomes):
         h3_score = outcome.h3_score(state)
         if h3 > 0 and h3_score < h3:
             continue
+        corr = corrections[i]
+        if corr.__class__ is tuple:
+            corr = Correction(*corr)
         # An owned row: a view would keep the whole stack alive for as
         # long as the tree holds this correction.
         survivors.append(ScreenedCorrection(
-            corrections[i], words[i].copy(), flips[i], outcome,
+            corr, words[i].copy(), flips[i], outcome,
             outcome.h1_score(state), h3_score))
     return survivors

@@ -23,7 +23,7 @@ from ..analyze.invariants import InvariantChecker
 from ..faults.models import apply_correction
 from . import clock
 from .bitlists import DiagnosisState
-from .candidates import corrections_for_line, is_correctable_line
+from .candidates import is_correctable_line, node_vocabulary
 from .config import DiagnosisConfig, HLevel
 from .pathtrace import derive_seed, path_trace_counts, top_fraction
 from .potential import rank_lines
@@ -107,7 +107,15 @@ class DecisionTree:
     # "diag." and "corr." columns)
     # ------------------------------------------------------------------
     def expand(self, node: Node) -> None:
-        """Fill a node's ranked pending-correction list."""
+        """Fill a node's ranked pending-correction list.
+
+        One pass per node: path trace and the pre-screen pick the
+        suspects, heuristic 1 ranks them in multi-site sweeps, the
+        vocabulary of every qualifying line goes into one word stack
+        (lines in potential order), and one :func:`screen_corrections`
+        call applies heuristics 2 and 3 to all of it before the stable
+        ranking sort.
+        """
         state = node.state
         config = self.config
         t0 = clock.now()
@@ -132,15 +140,12 @@ class DecisionTree:
         t1 = clock.now()
         self.stats.diag_time += t1 - t0
         required = max(1, int(self.h.h2 * state.num_err))
-        screened: list[ScreenedCorrection] = []
-        for pot in potentials:
-            corrections, words = corrections_for_line(state, pot.line,
-                                                      config)
-            survivors = screen_corrections(state, corrections, words,
-                                           required, self.h.h3)
-            if self.invariants:
-                self.invariants.check_screen(state, survivors)
-            screened.extend(survivors)
+        fields, words = node_vocabulary(
+            state, [pot.line for pot in potentials], config)
+        screened = screen_corrections(state, fields, words, required,
+                                      self.h.h3)
+        if self.invariants:
+            self.invariants.check_screen(state, screened)
         ranked = rank_corrections(state, screened)
         node.pending = [sc for _rank, sc in
                         ranked[: config.corrections_per_node]]

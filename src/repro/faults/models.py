@@ -195,8 +195,19 @@ def corrected_line_words(netlist: Netlist, table: LineTable,
     This is the "single simulation step on the gate driving l and the
     fan-ins to that gate" the paper uses for the heuristic-2 screen.
     """
-    line = table[corr.line]
-    kind = corr.kind
+    return fields_line_words(netlist, table, values, corr.line, corr.kind,
+                             corr.new_type, corr.pin, corr.other_signal)
+
+
+def fields_line_words(netlist: Netlist, table: LineTable,
+                      values: np.ndarray, line_index: int,
+                      kind: CorrectionKind, new_type: GateType | None = None,
+                      pin: int | None = None,
+                      other_signal: int | None = None) -> np.ndarray:
+    """:func:`corrected_line_words` of the correction with these fields
+    (a :class:`Correction`'s, in order), without building the object:
+    the DEDC vocabulary evaluates corrections it may never keep."""
+    line = table[line_index]
     current = values[line.driver]
     if kind is CorrectionKind.STUCK_AT_0:
         return const_row(0, len(current))
@@ -211,32 +222,32 @@ def corrected_line_words(netlist: Netlist, table: LineTable,
                 f"cannot remove inverter at {driver.name!r}")
         return values[driver.fanin[0]].copy()
     if kind is CorrectionKind.GATE_REPLACE:
-        return eval_words(corr.new_type,
+        return eval_words(new_type,
                           [values[src] for src in driver.fanin])
     if kind is CorrectionKind.REMOVE_INPUT_WIRE:
         remaining = [values[src] for p, src in enumerate(driver.fanin)
-                     if p != corr.pin]
+                     if p != pin]
         gtype = (demoted(driver.gtype) if len(remaining) == 1
                  else driver.gtype)
         return eval_words(gtype, remaining)
     if kind is CorrectionKind.ADD_INPUT_WIRE:
-        gtype = promoted(corr.new_type or driver.gtype)
+        gtype = promoted(new_type or driver.gtype)
         ins = [values[src] for src in driver.fanin]
-        ins.append(values[corr.other_signal])
+        ins.append(values[other_signal])
         return eval_words(gtype, ins)
     if kind is CorrectionKind.REPLACE_INPUT_WIRE:
-        ins = [values[src] if p != corr.pin else values[corr.other_signal]
+        ins = [values[src] if p != pin else values[other_signal]
                for p, src in enumerate(driver.fanin)]
         return eval_words(driver.gtype, ins)
     if kind is CorrectionKind.BYPASS_GATE:
-        if corr.pin is None or not 0 <= corr.pin < len(driver.fanin):
+        if pin is None or not 0 <= pin < len(driver.fanin):
             raise InjectionError("BYPASS_GATE needs a valid pin")
-        return values[driver.fanin[corr.pin]].copy()
+        return values[driver.fanin[pin]].copy()
     if kind is CorrectionKind.INSERT_GATE:
-        if corr.new_type is None or corr.other_signal is None:
+        if new_type is None or other_signal is None:
             raise InjectionError("INSERT_GATE needs new_type and "
                                  "other_signal")
-        return eval_words(corr.new_type,
+        return eval_words(new_type,
                           [values[line.driver],
-                           values[corr.other_signal]])
+                           values[other_signal]])
     raise InjectionError(f"unhandled correction kind {kind}")

@@ -179,10 +179,13 @@ def propagate(netlist: Netlist, values: np.ndarray,
             one fanin of one gate, forced for that gate only.
         base_ints: optional {gate: big-int row} cache of *baseline*
             conversions, owned by the caller and reused across calls that
-            share one ``values`` matrix (a suspect sweep converts the
-            same rows hundreds of times otherwise).  Must be dropped when
-            ``values`` changes; ``DiagnosisState`` holds one per value
-            matrix.  Only single-row calls use it.
+            share one ``values`` matrix and one slot count (each row is
+            replicated once per slot, so a cache serves one count only;
+            a suspect sweep converts the same rows hundreds of times
+            otherwise).  Must be dropped when ``values`` changes;
+            ``DiagnosisState`` holds one for single rows per value
+            matrix, and one per slot count for each of its multi-slot
+            sweeps.
         forced_slots: optional {site: slot indices} restricting an
             override to some slots (stacks only); sites missing from it
             are forced in every slot.
@@ -209,26 +212,27 @@ def propagate(netlist: Netlist, values: np.ndarray,
     width = 64 * nwords
     ones = (1 << (width * slots)) - 1
     # Partly forced sites: the bits of their free slots, and their
-    # forced rows (zero in the free slots).
+    # forced rows (zero in the free slots), converted in one go: the
+    # whole stack is one big-int with slot s at bit offset width * s.
     keep_of: dict = {}
     forced_of: dict = {}
+    slot_ones = (1 << width) - 1
     for site, chosen in (forced_slots or {}).items():
         stack = overrides.get(site)
         if stack is None or stack.ndim != 2:
             raise SimulationError(
                 f"forced_slots names {site!r}, which has no stacked "
                 f"override")
-        mask = forced = 0
+        mask = 0
         for s in chosen:
             if not 0 <= s < slots:
                 raise SimulationError(
                     f"slot {s} of {site!r} outside 0..{slots - 1}")
-            mask |= ((1 << width) - 1) << (width * s)
-            forced |= _row_to_int(stack[s]) << (width * s)
+            mask |= slot_ones << (width * s)
         if mask != ones:
             keep_of[site] = ones ^ mask
-            forced_of[site] = forced
-    base = base_ints if base_ints is not None and slots == 1 else {}
+            forced_of[site] = _row_to_int(stack) & mask
+    base = base_ints if base_ints is not None else {}
     base_get = base.get
     cur: dict[int, int] = {}      # overridden/changed rows, as ints
     cur_get = cur.get

@@ -18,7 +18,7 @@ from repro.analyze.dataflow import NetlistFacts, netlist_facts, warm_facts
 from repro.circuit import LineTable, generators
 from repro.diagnose import DiagnosisConfig, Mode
 from repro.diagnose.bitlists import DiagnosisState
-from repro.diagnose.candidates import design_error_corrections
+from repro.diagnose.candidates import corrections_for_line
 from repro.diagnose.report import EngineStats
 from repro.diagnose.tree import warm_child_facts
 from repro.faults.inject import observable_design_error_workload
@@ -67,7 +67,7 @@ def design_error_vocabulary(state):
     config = DiagnosisConfig(mode=Mode.DESIGN_ERROR, exact=False)
     by_kind = {}
     for line in range(len(state.table)):
-        for corr in design_error_corrections(state, line, config)[0]:
+        for corr in corrections_for_line(state, line, config)[0]:
             by_kind.setdefault(corr.kind, []).append(corr)
     sample = []
     for corrs in by_kind.values():
@@ -223,7 +223,7 @@ def probe_corrections(state, draw):
     config = DiagnosisConfig(mode=Mode.DESIGN_ERROR, exact=False)
     by_kind = {}
     for line in range(len(table)):
-        for corr in design_error_corrections(state, line, config)[0]:
+        for corr in corrections_for_line(state, line, config)[0]:
             by_kind.setdefault(corr.kind, []).append(corr)
     picks += [draw(st.sampled_from(by_kind[kind]))
               for kind in sorted(by_kind, key=lambda k: k.value)]

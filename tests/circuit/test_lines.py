@@ -8,8 +8,8 @@ from repro.circuit import GateType, LineKind, LineTable, Netlist
 def test_c17_has_17_lines(c17):
     """c17 famously has 17 lines: 11 signals + 6 fanout branches."""
     table = LineTable(c17)
-    assert table.num_stems == 11
-    assert table.num_branches == 6
+    assert len(table.stem_of_gate) == 11
+    assert len(table.branch_of) == 6
     assert len(table) == 17
 
 
@@ -19,7 +19,7 @@ def test_single_fanout_has_no_branch():
     g = nl.add_gate("g", GateType.BUF, [a])
     nl.set_outputs([g])
     table = LineTable(nl)
-    assert table.num_branches == 0
+    assert len(table.branch_of) == 0
     assert table.branch(g, 0) is None
 
 

@@ -2,9 +2,10 @@
 
 Heuristic 2 by :func:`repro.diagnose.screening.screen_verr`, then one
 single-row propagate and outcome summary per survivor, then heuristic
-3.  The library screens all corrections on a suspect line in one
-slot-packed sweep (:func:`repro.diagnose.screening.screen_corrections`);
-the tests check it against this oracle field for field.
+3.  The library screens a whole node's corrections in one call
+(:func:`repro.diagnose.screening.screen_corrections`), its survivors
+sharing slot-packed sweeps across lines; the tests check it against
+this oracle field for field.
 :func:`predicted_stack` builds that screen's words argument for a
 hand-made correction list, one gate evaluation per correction.
 """

@@ -5,8 +5,7 @@ import pytest
 
 from repro.circuit import GateType, LineTable, Netlist, generators
 from repro.diagnose import (DiagnosisState, corrections_for_line,
-                            design_error_corrections, screen_corrections,
-                            stuck_at_corrections)
+                            screen_corrections, stuck_at_corrections)
 from repro.diagnose.candidates import is_correctable_line
 from repro.diagnose.config import DiagnosisConfig, Mode
 from repro.faults import observable_design_error_workload
@@ -48,7 +47,7 @@ def test_design_error_vocabulary_on_and_gate(alu4):
                     and g.index in netlist.live_set())
     line = state.table.stem(and_gate).index
     config = DiagnosisConfig(mode=Mode.DESIGN_ERROR, wire_source_limit=4)
-    corrs, _words = design_error_corrections(state, line, config)
+    corrs, _words = corrections_for_line(state, line, config)
     kinds = {c.kind for c in corrs}
     assert CorrectionKind.INSERT_INVERTER in kinds
     assert CorrectionKind.GATE_REPLACE in kinds
@@ -64,7 +63,7 @@ def test_input_stem_gets_only_inverter_fix(c17):
     state, _ = dedc_state(c17)
     pi_line = state.table.stem(state.netlist.inputs[0]).index
     config = DiagnosisConfig(mode=Mode.DESIGN_ERROR)
-    corrs, _words = design_error_corrections(state, pi_line, config)
+    corrs, _words = corrections_for_line(state, pi_line, config)
     assert {c.kind for c in corrs} == {CorrectionKind.INSERT_INVERTER}
 
 
@@ -72,7 +71,7 @@ def test_branch_lines_get_inverter_fixes_only(c17):
     state, _ = dedc_state(c17)
     branch = next(l for l in state.table if not l.is_stem)
     config = DiagnosisConfig(mode=Mode.DESIGN_ERROR)
-    corrs, _words = design_error_corrections(state, branch.index,
+    corrs, _words = corrections_for_line(state, branch.index,
                                              config)
     assert all(c.kind in (CorrectionKind.INSERT_INVERTER,
                           CorrectionKind.REMOVE_INVERTER)
@@ -94,7 +93,7 @@ def test_wire_sources_never_create_cycles(alu4):
                 or gate.index not in netlist.live_set():
             continue
         line = state.table.stem(gate.index).index
-        corrs, _words = design_error_corrections(state, line, config)
+        corrs, _words = corrections_for_line(state, line, config)
         for corr in corrs:
             if corr.kind in WIRED:
                 # acyclicity: the new source must not depend on the gate
@@ -111,7 +110,7 @@ def test_wire_sources_exclude_existing_fanins(alu4):
                 if g.gtype is GateType.AND and g.index
                 in netlist.live_set())
     config = DiagnosisConfig(mode=Mode.DESIGN_ERROR, wire_source_limit=10)
-    corrs, _words = design_error_corrections(
+    corrs, _words = corrections_for_line(
         state, state.table.stem(gate.index).index, config)
     sources = {c.other_signal for c in corrs
                if c.kind is CorrectionKind.ADD_INPUT_WIRE}
@@ -137,7 +136,7 @@ def test_wire_sources_find_detached_gate():
     # surface the orphaned source with the complete typed repair
     config = DiagnosisConfig(mode=Mode.DESIGN_ERROR, wire_source_limit=5)
     line = state.table.stem(g).index
-    corrs, words = design_error_corrections(state, line, config)
+    corrs, words = corrections_for_line(state, line, config)
     fix = [i for i, c in enumerate(corrs)
            if c.kind is CorrectionKind.ADD_INPUT_WIRE
            and c.other_signal == u and c.new_type is GateType.OR]
@@ -157,8 +156,8 @@ def test_scored_sources_ranked_by_benefit(alu4):
     for line in state.table:
         if not line.is_stem or not is_correctable_line(state, line.index):
             continue
-        corrs, words = design_error_corrections(state, line.index, config)
-        again, again_words = design_error_corrections(state, line.index,
+        corrs, words = corrections_for_line(state, line.index, config)
+        again, again_words = corrections_for_line(state, line.index,
                                                       config)
         assert corrs == again
         assert np.array_equal(words, again_words)

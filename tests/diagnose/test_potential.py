@@ -1,6 +1,6 @@
 """Heuristic 1: invert-and-propagate correcting potential.
 
-The library packs up to ``H1_SLOTS`` suspect lines into one multi-site
+The library packs up to ``SWEEP_SLOTS`` suspect lines into one multi-site
 propagate; :func:`oracle_potentials` is the per-line reference loop it
 is checked against.
 """
@@ -16,7 +16,7 @@ from repro.diagnose import (DiagnosisConfig, DiagnosisState, LinePotential,
                             Mode, corrections_for_line,
                             correcting_potentials, rank_lines)
 from repro.diagnose.candidates import is_correctable_line
-from repro.diagnose.potential import H1_SLOTS
+from repro.diagnose.bitlists import SWEEP_SLOTS
 from repro.errors import InvariantViolation
 from repro.faults import (inject_stuck_at_faults,
                           observable_design_error_workload)
@@ -110,7 +110,7 @@ def dedc_states(spec, nbits, seed):
 @pytest.mark.parametrize("name", ("c17", "rca8", "ecc8"))
 def test_packed_potentials_equal_per_line_oracle(name, nbits):
     """More suspects than one sweep packs (rca8 and ecc8 have over
-    ``H1_SLOTS`` lines), stems and branches mixed, in a scrambled order
+    ``SWEEP_SLOTS`` lines), stems and branches mixed, in a scrambled order
     with a repeated line."""
     spec = {"c17": generators.c17,
             "rca8": lambda: generators.ripple_carry_adder(8),
@@ -122,7 +122,7 @@ def test_packed_potentials_equal_per_line_oracle(name, nbits):
         packed = correcting_potentials(state, lines)
         assert packed == oracle_potentials(state, lines)
         InvariantChecker().check_potentials(state, packed)
-    assert len(lines) > H1_SLOTS or name == "c17"
+    assert len(lines) > SWEEP_SLOTS or name == "c17"
 
 
 def test_check_potentials_trips_on_a_corrupted_potential():

@@ -1,10 +1,12 @@
 """The slot-packed correction screen against the per-correction oracle.
 
-:func:`repro.diagnose.screening.screen_corrections` propagates every
-surviving correction on a suspect line in one sweep; the oracle
+:func:`repro.diagnose.screening.screen_corrections` propagates the
+surviving corrections in slot-packed sweeps (one line's corrections
+share a sweep that forces the line in every slot); the oracle
 (``screening_oracle``) runs one single-row propagate per correction.
 On DEDC root and child states both must give the same survivors, in
-the same order, field for field.
+the same order, field for field.  ``test_node_screen`` covers whole
+nodes, whose sweeps mix lines.
 """
 
 import numpy as np

@@ -346,6 +346,55 @@ def test_site_downstream_of_another_slots_site(nbits):
     assert np.array_equal(packed[low][1], values[low] ^ ones)
 
 
+@pytest.mark.parametrize("nbits", (1, 63, 64, 65))
+def test_site_forced_in_non_adjacent_slots(nbits):
+    """One stem and one pin, each forced in scattered slots of one
+    sweep, next to sites forced in the slots between: every forced
+    row lands in its own slot (the site's stack is converted once and
+    masked), and every slot equals its one-row propagate."""
+    circuit = generators.random_dag(6, 80, 6, seed=14)
+    patterns = PatternSet.random(6, nbits, seed=14)
+    values = simulate(circuit, patterns)
+    rng = random.Random(nbits)
+    row = functools.partial(random_row, rng, patterns.num_words)
+    with_fanin = [g.index for g in circuit.gates if g.fanin]
+    stem = circuit.inputs[1]
+    pin_site = (with_fanin[len(with_fanin) // 2], 0)
+    other = with_fanin[3]
+    slot_sites = [{} for _ in range(9)]
+    for s in (0, 3, 7):
+        slot_sites[s][stem] = row()
+    for s in (2, 5, 8):
+        slot_sites[s][pin_site] = row()
+    slot_sites[1][other] = row()
+    slot_sites[4][other] = row()
+    slot_sites[4][(other, 0)] = row()
+    slot_sites[6][pin_site[0]] = row()
+    assert_per_slot_sites(circuit, values, rng, slot_sites)
+
+
+@pytest.mark.parametrize("nbits", (1, 63, 64, 65))
+def test_baseline_cache_serves_one_slot_count(nbits):
+    """A ``base_ints`` cache shared by sweeps of one slot count gives
+    the same rows as fresh conversions."""
+    circuit = generators.random_dag(6, 80, 6, seed=15)
+    patterns = PatternSet.random(6, nbits, seed=15)
+    values = simulate(circuit, patterns)
+    rng = random.Random(nbits)
+    with_fanin = [g.index for g in circuit.gates if g.fanin]
+    cache: dict = {}
+    for _trial in range(4):
+        slot_sites = [{random_site(rng, circuit, with_fanin):
+                       random_row(rng, patterns.num_words)}
+                      for _ in range(5)]
+        stacks, forced = packed_sites(rng, values, slot_sites)
+        cached = propagate(circuit, values, stacks, base_ints=cache,
+                           forced_slots=forced)
+        assert_same_changes(cached, propagate(circuit, values, stacks,
+                                              forced_slots=forced))
+    assert cache
+
+
 @pytest.mark.parametrize("nbits", NBITS_CASES)
 def test_primary_output_and_input_sites(nbits):
     """A primary input forced in one slot drives a primary output that
